@@ -54,24 +54,25 @@ func New(sp *vmem.Space) *Sanitizer { return newNamed(sp, "asan") }
 // removes and merges checks; the check sequence itself is ASan's).
 func NewMinus(sp *vmem.Space) *Sanitizer { return newNamed(sp, "asan--") }
 
+// newNamed builds the instance over the base image with every shadow page
+// already private, so the allocators may poison disjoint chunks
+// concurrently (see shadow.New).
 func newNamed(sp *vmem.Space, name string) *Sanitizer {
-	s := &Sanitizer{sh: shadow.New(sp), name: name}
-	s.sh.Fill(0, s.sh.NumSegments(), CodeUnallocated)
-	return s
+	return &Sanitizer{sh: shadow.New(BaseImage(sp)), name: name}
 }
 
-// BaseImage returns the pristine shadow image of an ASan instance over sp —
-// the exact state newNamed lays down, captured once for sharing. Uniform,
-// so the snapshot costs one overlay page regardless of the space size.
+// BaseImage returns the pristine shadow image of an ASan instance over sp,
+// the state newNamed and Fork start from. Uniform, so the snapshot costs
+// one overlay page regardless of the space size.
 func BaseImage(sp *vmem.Space) *shadow.Image {
 	return shadow.NewUniformImage(sp.Base(), int(sp.Size()>>shadow.SegShift), CodeUnallocated)
 }
 
-// Fork returns an ASan instance whose shadow is a copy-on-write fork of img
-// (from BaseImage over an identically-shaped space). Observably identical
-// to New, but construction writes no shadow bytes and resident shadow grows
-// only with the pages the workload dirties. Forked instances inherit the
-// single-goroutine contract of shadow.Fork.
+// Fork returns an ASan instance whose shadow is a lazy copy-on-write fork
+// of img (from BaseImage over an identically-shaped space). Observably
+// identical to New, but construction writes no shadow bytes and resident
+// shadow grows only with the pages the workload dirties. Forked instances
+// inherit the single-goroutine contract of shadow.Fork.
 func Fork(img *shadow.Image) *Sanitizer {
 	return &Sanitizer{sh: shadow.Fork(img), name: "asan"}
 }
@@ -84,21 +85,14 @@ func ForkMinus(img *shadow.Image) *Sanitizer {
 // Name implements san.Sanitizer.
 func (a *Sanitizer) Name() string { return a.name }
 
-// ResetSpan implements san.Resetter: the segments covering [base,
-// base+size) return to the initial CodeUnallocated image newNamed lays
-// down. Like core's ResetSpan it bills no ShadowStores — recycling is
-// arena maintenance outside the cost model.
-func (a *Sanitizer) ResetSpan(base vmem.Addr, size uint64) {
-	a.sh.ReimageSpan(base, size, CodeUnallocated)
+// Reset implements san.Resetter: the whole shadow snaps back to the
+// pristine base image in O(dirty pages) and the counters are zeroed. Like
+// core's Reset it bills no ShadowStores — recycling is arena maintenance
+// outside the cost model.
+func (a *Sanitizer) Reset() {
+	a.sh.DropOverlay()
+	a.stats.Reset()
 }
-
-// ResetStats implements san.Resetter.
-func (a *Sanitizer) ResetStats() { a.stats.Reset() }
-
-// DropOverlay implements san.OverlayDropper: on a forked instance the whole
-// shadow snaps back to the pristine base image in O(dirty pages); dense
-// instances report false and the caller falls back to ResetSpan.
-func (a *Sanitizer) DropOverlay() bool { return a.sh.DropOverlay() }
 
 // Stats implements san.Sanitizer.
 func (a *Sanitizer) Stats() *san.Stats { return &a.stats }

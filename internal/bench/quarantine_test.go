@@ -70,7 +70,8 @@ func quarantineChurnDigest(budget uint64) uint64 {
 			live = live[1:]
 		}
 	}
-	h.Write(env.San().(interface{ Shadow() *shadow.Memory }).Shadow().Raw())
+	sh := env.San().(interface{ Shadow() *shadow.Memory }).Shadow()
+	h.Write(sh.Snapshot(0, sh.NumSegments()))
 	return h.Sum64()
 }
 

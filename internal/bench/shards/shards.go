@@ -64,7 +64,7 @@ type ScalingRow struct {
 }
 
 // ResidencyRow records one forked arena's shadow footprint after running
-// a session, against the dense arena it replaces.
+// a session, against the New arena (every page private) it replaces.
 type ResidencyRow struct {
 	Workload string `json:"workload"`
 	// HeapBytes is the arena size the tenant was given (the workload
@@ -75,7 +75,7 @@ type ResidencyRow struct {
 	// privatized 4 KiB shadow pages and their bytes.
 	DirtyPages    int `json:"dirtyPages"`
 	ResidentBytes int `json:"residentBytes"`
-	// DenseShadowBytes is what a dense New arena pays up front.
+	// DenseShadowBytes is what a New arena privatizes up front.
 	DenseShadowBytes int `json:"denseShadowBytes"`
 	// ResidentShare is ResidentBytes / DenseShadowBytes.
 	ResidentShare float64 `json:"residentShare"`
@@ -178,7 +178,7 @@ func Run(counts []int, tenants int) (*Report, error) {
 
 // residency runs one session per (workload, arena size) on a freshly
 // forked arena and records its overlay footprint. Growing the arena with
-// the workload fixed is the point: a dense arena's shadow cost scales
+// the workload fixed is the point: a New arena's shadow cost scales
 // with capacity, a fork's with use.
 func residency() ([]ResidencyRow, error) {
 	var rows []ResidencyRow
@@ -221,7 +221,7 @@ func residency() ([]ResidencyRow, error) {
 // Check is the CI gate over a report: near-linear scaling (the highest
 // shard count must reach minSpeedup), work conservation across shard
 // counts, and residency's proportionality invariants — resident bytes
-// exactly PageBytes per dirtied page, strictly below the dense cost, and
+// exactly PageBytes per dirtied page, strictly below a New arena's cost, and
 // zero after Reset.
 func Check(rep *Report, minSpeedup float64) error {
 	if len(rep.Scaling) < 2 {

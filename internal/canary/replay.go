@@ -106,7 +106,8 @@ func sanLeg(events []trace.Event, cfg Config, reference bool, plant Plant) (obs 
 	obs.ErrorLog = log.String()
 	if sh, ok := env.San().(interface{ Shadow() *shadow.Memory }); ok {
 		h := fnv.New64a()
-		h.Write(sh.Shadow().Raw())
+		m := sh.Shadow()
+		h.Write(m.Snapshot(0, m.NumSegments()))
 		obs.ShadowDigest = fmt.Sprintf("%016x", h.Sum64())
 	}
 	return obs, nil

@@ -43,13 +43,11 @@ var segLimitTab = func() [9]uint8 {
 // for speed — bounds are established once with a single comparison pair,
 // shadow bytes come through the inlinable CodeAt primitive without per-load
 // revalidation, and every code classification is one table lookup plus one
-// unsigned comparison instead of a branch chain. CodeAt serves both shadow
-// layouts — the flat array of dense memories and the page table of
-// image-forked arenas — for the cost of one well-predicted branch per load.
-// The common aligned in-bounds access runs load → table → compare with no
-// data-dependent branching before the verdict. Stats counting is identical
-// to the reference path byte for byte; the differential suites enforce
-// that.
+// unsigned comparison instead of a branch chain. CodeAt is one page-table
+// read with no branch. The common aligned in-bounds access runs load →
+// table → compare with no data-dependent branching before the verdict.
+// Stats counting is identical to the reference path byte for byte; the
+// differential suites enforce that.
 func (g *Sanitizer) CheckRange(l, r vmem.Addr, t report.AccessType) *report.Error {
 	if g.ref {
 		return g.CheckRangeRef(l, r, t)

@@ -95,9 +95,8 @@ func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding
 }
 
 // record executes p under GiantSan with a trace recorder attached and
-// returns the decoded events. Uses a dense runtime (rt.New): the recorder
-// wraps the runtime interface, and the trace must replay against any
-// backing.
+// returns the decoded events. Uses rt.New: the recorder wraps the runtime
+// interface, and the trace must replay against any construction.
 func (c *campaign) record(p *ir.Prog) ([]trace.Event, error) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)

@@ -64,16 +64,16 @@ func ImageRegistrySize() int {
 	return len(imageReg.m)
 }
 
-// Fork builds a runtime per cfg whose shadow is a copy-on-write fork of
-// the shared base image for cfg's normal form. Observably identical to
+// Fork builds a runtime per cfg whose shadow is a lazy copy-on-write fork
+// of the shared base image for cfg's normal form. Observably identical to
 // New(cfg) — the fork differential suite proves it byte-for-byte — with
 // two structural differences: construction writes no shadow bytes, and
 // the resident shadow grows only with the pages the tenant dirties
-// (Env.OverlayStats reports them). Reset drops the overlay in O(dirty
-// pages) instead of re-scrubbing spans.
+// (Env.OverlayStats reports them), where New privatizes every page up
+// front.
 //
 // A forked Env inherits shadow.Fork's single-goroutine contract: unlike a
-// dense Env, whose disjoint bulk shadow writes may run concurrently, a
+// fresh New Env, whose disjoint bulk shadow writes may run concurrently, a
 // fork must only ever be driven by one goroutine at a time. That is the
 // service layer's session model, its intended user.
 func Fork(cfg Config) *Env {
@@ -98,17 +98,10 @@ type shadowed interface {
 	Shadow() *shadow.Memory
 }
 
-// Forked reports whether the Env's shadow is an overlay fork of a shared
-// base image (built by Fork) rather than densely backed (built by New).
-func (e *Env) Forked() bool {
-	sh, ok := e.san.(shadowed)
-	return ok && sh.Shadow().Forked()
-}
-
-// ShadowBytes returns the size of the Env's shadow plane when densely
-// backed — one byte per 8-byte segment over the whole address space. For
-// a forked Env this is the ceiling OverlayStats is measured against: the
-// bytes a dense New(cfg) arena pays up front.
+// ShadowBytes returns the size of the Env's whole shadow plane — one byte
+// per 8-byte segment over the address space. It is the ceiling
+// OverlayStats is measured against: the bytes a New(cfg) arena privatizes
+// up front.
 func (e *Env) ShadowBytes() int {
 	if sh, ok := e.san.(shadowed); ok {
 		return sh.Shadow().NumSegments()
@@ -116,10 +109,10 @@ func (e *Env) ShadowBytes() int {
 	return 0
 }
 
-// OverlayStats reports the resident overlay footprint of a forked Env:
-// privatized shadow pages and their bytes. Zero for dense Envs and right
-// after Reset — the "per-tenant memory proportional to dirtied pages"
-// number the shards bench artifact records.
+// OverlayStats reports the resident overlay footprint of the Env's shadow:
+// privatized pages and their bytes. Zero for a fresh Fork and right after
+// Reset, the whole plane for a fresh New — the "per-tenant memory
+// proportional to dirtied pages" number the shards bench artifact records.
 func (e *Env) OverlayStats() (pages int, bytes int) {
 	if sh, ok := e.san.(shadowed); ok {
 		return sh.Shadow().OverlayStats()

@@ -98,8 +98,9 @@ func TestMetamorphicAllocTraceFastVsReference(t *testing.T) {
 			fast := run(false)
 			ref := run(true)
 
-			fs := fast.San().(interface{ Shadow() *shadow.Memory }).Shadow().Raw()
-			rs := ref.San().(interface{ Shadow() *shadow.Memory }).Shadow().Raw()
+			fsh := fast.San().(interface{ Shadow() *shadow.Memory }).Shadow()
+			rsh := ref.San().(interface{ Shadow() *shadow.Memory }).Shadow()
+			fs, rs := fsh.Snapshot(0, fsh.NumSegments()), rsh.Snapshot(0, rsh.NumSegments())
 			for i := range fs {
 				if fs[i] != rs[i] {
 					t.Fatalf("%v seed %d: shadow diverged at segment %d: fast=%d ref=%d",

@@ -186,47 +186,50 @@ func requireEnvEqual(t *testing.T, want, got *Env, context string) {
 	}
 }
 
-// TestForkMatchesFresh extends the pooling-safety contract to image-forked
-// arenas: for every pooled configuration, a Fork(cfg) must be observably
-// identical to New(cfg) — pristine, after the same workload, and after
-// Reset (which on forks is an overlay drop, not a span scrub). This is the
-// differential proof that the copy-on-write shadow is indistinguishable
-// from the dense one.
+// TestForkMatchesFresh extends the pooling-safety contract to lazily
+// forked arenas: for every pooled configuration, a Fork(cfg) must be
+// observably identical to New(cfg) — pristine, after the same workload,
+// and after Reset. This is the differential proof that a shadow whose
+// pages materialize on first write is indistinguishable from one whose
+// pages were all privatized up front.
 func TestForkMatchesFresh(t *testing.T) {
 	for _, cfg := range resetConfigs() {
 		cfg := cfg
 		name := fmt.Sprintf("%s/ref=%v/uar=%v", cfg.Kind, cfg.Reference, cfg.DetectUAR)
 		t.Run(name, func(t *testing.T) {
-			dense := New(cfg)
+			fresh := New(cfg)
 			fork := Fork(cfg)
-			if !fork.Forked() || dense.Forked() {
-				t.Fatal("Forked() misclassifies the construction mode")
-			}
-			requireEnvEqual(t, dense, fork, "pristine fork vs fresh")
+			requireEnvEqual(t, fresh, fork, "pristine fork vs fresh")
+			// The constructors differ only in residency: a cold fork holds
+			// no private page, New holds all of them.
 			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
 				t.Fatalf("pristine fork resident: %d pages, %d bytes", pages, b)
+			}
+			total := fresh.ShadowBytes()
+			if pages, b := fresh.OverlayStats(); pages != (total+shadow.PageBytes-1)/shadow.PageBytes || b != total {
+				t.Fatalf("fresh New resident: %d pages, %d bytes; want all %d bytes", pages, b, total)
 			}
 
 			// The identical workload must produce the identical outcome
 			// digest and leave identical shadows.
-			want := dirty(t, dense)
+			want := dirty(t, fresh)
 			got := dirty(t, fork)
 			if want != got {
 				t.Fatalf("fork diverges from fresh env:\nfresh: %s\nfork:  %s", want, got)
 			}
-			requireEnvEqual(t, dense, fork, "after identical workloads")
+			requireEnvEqual(t, fresh, fork, "after identical workloads")
 			pages, b := fork.OverlayStats()
 			if pages == 0 || b != pages*shadow.PageBytes {
 				t.Fatalf("overlay stats after workload: %d pages, %d bytes", pages, b)
 			}
 			// Residency is proportional to what was dirtied, not to the
 			// arena: the workload touches a few dozen KiB of a 256 KiB heap.
-			if total := int(cfg.Normalize().spaceBytes() >> shadow.SegShift); b >= total {
-				t.Fatalf("overlay resident %d bytes >= full dense shadow %d", b, total)
+			if b >= total {
+				t.Fatalf("overlay resident %d bytes >= whole shadow %d", b, total)
 			}
 
 			// Reset = overlay drop: byte-identical to a never-used fork and
-			// to a fresh dense env, with zero residual residency.
+			// to a fresh New env, with zero residual residency.
 			fork.Reset()
 			requireEnvEqual(t, New(cfg), fork, "after reset")
 			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
@@ -236,7 +239,7 @@ func TestForkMatchesFresh(t *testing.T) {
 				t.Fatalf("post-reset stats not zeroed: %+v", got)
 			}
 
-			// Oracle ground truth cleared, as in the dense suite.
+			// Oracle ground truth cleared, as in the reset suite.
 			base, size := fork.Space().Base(), fork.Space().Size()
 			for off := uint64(0); off < size; off += 1 + off/97 {
 				if st := fork.Oracle().StateAt(base + off); st != oracle.Unallocated {

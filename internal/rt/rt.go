@@ -91,7 +91,7 @@ type Env struct {
 	heap   *heap.Allocator
 	stack  *stack.Stack
 	oracle *oracle.Oracle
-	// region boundaries, for Reset's targeted scrubbing.
+	// region boundaries, for Reset's targeted zeroing.
 	heapStart   vmem.Addr
 	stackStart  vmem.Addr
 	globalStart vmem.Addr
@@ -183,16 +183,18 @@ func assemble(cfg Config, sp *vmem.Space, s san.Sanitizer) *Env {
 // which is what the service layer's arena pool keys on.
 func (e *Env) Config() Config { return e.cfg }
 
-// Reset returns the Env to the state a fresh New(cfg) produces, without
-// reallocating anything: the allocators forget their registries, the
-// touched application bytes are zeroed, the touched shadow returns to the
-// pristine unallocated image, Stats are zeroed, and the oracle (when
-// enabled) is cleared. The cost is proportional to the memory the
-// previous run actually dirtied — each region is scrubbed only up to its
-// bump frontier (the stack up to its high-water mark) — not to the arena
-// size, which is what makes pooling Envs cheaper than rebuilding them:
-// a fresh New must allocate and initialize the dense shadow for the whole
-// space every time.
+// Reset returns the Env to a state observably identical to a fresh
+// New(cfg), without reallocating anything: the allocators forget their registries, the
+// touched application bytes are zeroed, the sanitizer's shadow drops its
+// overlay back to the pristine base image and its Stats are zeroed, and
+// the oracle (when enabled) is cleared. The cost is proportional to the
+// memory the previous run actually dirtied — each region is zeroed only
+// up to its bump frontier (the stack up to its high-water mark), and the
+// shadow drop is O(dirty pages) — not to the arena size, which is what
+// makes pooling Envs cheaper than rebuilding them.
+//
+// After Reset every shadow page is clean, as in a fresh Fork, so the Env
+// carries Fork's single-goroutine contract whichever constructor built it.
 //
 // The differential reset suite (reset_test.go) enforces byte-for-byte
 // equivalence with a fresh Env for every sanitizer kind, so a pooled
@@ -202,28 +204,11 @@ func (e *Env) Reset() {
 	if !ok {
 		panic(fmt.Sprintf("rt: sanitizer %s does not support arena reset", e.san.Name()))
 	}
-	heapUsed := e.heap.Reset()
-	stackUsed := e.stack.Reinit()
-	globalUsed := uint64(e.globalBump - e.globalStart)
+	e.space.Zero(e.heapStart, e.heap.Reset())
+	e.space.Zero(e.stackStart, e.stack.Reinit())
+	e.space.Zero(e.globalStart, uint64(e.globalBump-e.globalStart))
 	e.globalBump = e.globalStart
-	// Forked envs return the whole shadow to the base image in one
-	// O(dirty pages) overlay drop; dense envs scrub shadow span-wise. The
-	// application bytes are zeroed up to the bump frontiers either way.
-	od, _ := e.san.(san.OverlayDropper)
-	dropped := od != nil && od.DropOverlay()
-	scrub := func(base vmem.Addr, n uint64) {
-		if n == 0 {
-			return
-		}
-		e.space.Zero(base, n)
-		if !dropped {
-			rs.ResetSpan(base, n)
-		}
-	}
-	scrub(e.heapStart, heapUsed)
-	scrub(e.stackStart, stackUsed)
-	scrub(e.globalStart, globalUsed)
-	rs.ResetStats()
+	rs.Reset()
 	if e.oracle != nil {
 		e.oracle.Reset()
 	}

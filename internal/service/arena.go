@@ -9,12 +9,12 @@
 // admission queue.
 //
 // The arena pool is the headline performance piece: a sanitizer runtime's
-// dominant allocation is its dense shadow array (one byte per 8-byte
-// segment over the whole simulated space), which rt.New builds and
-// initializes from scratch on every construction. The pool's arenas are
-// instead copy-on-write forks of a shared pre-poisoned base image
-// (rt.Fork): construction writes no shadow bytes, a tenant's resident
-// shadow is proportional to the pages it dirtied, and recycling through
+// dominant allocation is its shadow (one byte per 8-byte segment over the
+// whole simulated space), a copy-on-write page table over a shared
+// pre-poisoned base image. rt.New privatizes every page of it on
+// construction; the pool's arenas are instead lazy forks (rt.Fork):
+// construction writes no shadow bytes, a tenant's resident shadow is
+// proportional to the pages it dirtied, and recycling through
 // rt.Env.Reset is an O(dirty pages) overlay drop. The fork and reset
 // differential suites in internal/rt are what make this safe: a forked or
 // recycled arena is byte-for-byte equivalent to a fresh one, so no shadow
@@ -101,7 +101,7 @@ func (p *ArenaPool) Get(cfg rt.Config) (env *rt.Env, warm bool) {
 // Put resets env and shelves it for reuse. Arenas beyond the per-key bound
 // are dropped on the floor for the GC (and counted) — before paying for
 // the reset: the capacity check reserves a shelf slot under the lock and
-// only a Put that holds a reservation scrubs, so the over-capacity path
+// only a Put that holds a reservation resets, so the over-capacity path
 // does no reset work at all. A session that panicked must NOT Put its
 // arena back (its state is suspect) — it Drops it instead, which the
 // engine enforces with a deferred return-or-drop on every session path.

@@ -87,14 +87,17 @@ func TestPoolShelvesAreDeleted(t *testing.T) {
 	}
 }
 
-// TestPoolArenasAreForked pins the cold path to rt.Fork: pool arenas are
+// TestPoolArenasAreForked pins the cold path to rt.Fork: pool arenas are lazy
 // copy-on-write forks whose residency returns to zero on recycle.
 func TestPoolArenasAreForked(t *testing.T) {
 	pool := NewArenaPool(1)
 	cfg := poolCfg(256)
 	env, warm := pool.Get(cfg)
-	if warm || !env.Forked() {
-		t.Fatalf("cold Get: warm=%v forked=%v", warm, env.Forked())
+	if pages, bytes := env.OverlayStats(); warm || pages != 0 || bytes != 0 {
+		t.Fatalf("cold Get: warm=%v, %d private pages, %d bytes; want a cold fork", warm, pages, bytes)
+	}
+	if pages, bytes := rt.New(cfg).OverlayStats(); bytes != env.ShadowBytes() || pages == 0 {
+		t.Fatalf("New: %d private pages, %d bytes; want all %d shadow bytes", pages, bytes, env.ShadowBytes())
 	}
 	useArena(t, env)
 	if pages, _ := env.OverlayStats(); pages == 0 {

@@ -89,7 +89,14 @@ func parseProm(text string, fams map[string]*promFamily, order *[]string) error 
 	return sc.Err()
 }
 
-// scrape fetches one backend's /metrics.
+// maxScrapeBytes caps one backend /metrics read. An 8-shard engine's
+// exposition is about 10 KB, so 1 MiB leaves two orders of magnitude of
+// headroom while keeping a broken or hostile backend from making the
+// front-end buffer without bound.
+const maxScrapeBytes = 1 << 20
+
+// scrape fetches one backend's /metrics. An exposition longer than
+// maxScrapeBytes is a failed scrape.
 func (rb *RemoteBackend) scrape(m *remoteMember) (string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rb.cfg.HealthTimeout)
 	defer cancel()
@@ -106,7 +113,10 @@ func (rb *RemoteBackend) scrape(m *remoteMember) (string, error) {
 		io.Copy(io.Discard, resp.Body)
 		return "", fmt.Errorf("backend %s /metrics answered %d", m.name, resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScrapeBytes+1))
+	if err == nil && len(body) > maxScrapeBytes {
+		err = fmt.Errorf("backend %s /metrics exceeds %d bytes", m.name, maxScrapeBytes)
+	}
 	return string(body), err
 }
 

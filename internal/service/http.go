@@ -95,6 +95,12 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// maxSessionBody caps a POST /sessions body. The largest in-repo trace
+// recording (500.perlbench_r, 30.1 MB) is about 40 MB once base64-encoded
+// into a replay request, so 64 MiB admits every real session while
+// bounding what one request can make the server buffer.
+const maxSessionBody = 64 << 20
+
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -102,9 +108,15 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSessionBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorBody{"request body exceeds " + strconv.FormatInt(tooBig.Limit, 10) + " bytes"})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{"decode: " + err.Error()})
 		return
 	}

@@ -7,23 +7,27 @@ import (
 	"giantsan/internal/vmem"
 )
 
-// Copy-on-write base images. A pooled arena's dominant memory cost is its
-// dense shadow array, and every arena of a given runtime configuration
-// starts from the *same* pristine pre-poisoned image. An Image captures
-// that snapshot once, immutably; Fork then builds a Memory whose pages all
-// alias the image. The first write to a page privatizes (materializes) a
-// copy, so a forked arena's resident shadow is proportional to the pages
-// its tenant actually dirtied, not to the arena size — and returning the
-// arena to pristine is DropOverlay, O(dirty pages), instead of re-scrubbing
-// spans.
+// Copy-on-write base images. Every arena of a given runtime configuration
+// starts from the *same* pristine pre-poisoned shadow. An Image captures
+// that snapshot once, immutably, and every Memory is a page table over
+// one: clean pages alias the image, and the first write to a page
+// privatizes (materializes) a copy. Returning a Memory to pristine is
+// DropOverlay, O(dirty pages), whatever the tenant allocated.
 //
-// Concurrency: a dense Memory tolerates concurrent *disjoint* bulk writes
-// (the allocators poison disjoint chunks outside their locks), because
-// disjoint byte ranges share no state. A forked Memory does not: two
-// disjoint spans can land on the same page and race on its
-// materialization. Forked memories are therefore single-goroutine by
-// contract, which is exactly the service's execution model — one session,
-// one arena, one worker goroutine at a time.
+// Two constructors, one layout. Fork leaves every page clean, so resident
+// shadow is proportional to the pages a tenant actually dirtied. New
+// privatizes every page up front, the state that tolerates concurrent
+// writers.
+//
+// Concurrency: materialize only reads the dirty bitmap once a page is
+// private, so a Memory whose pages are all private (New, until its first
+// DropOverlay) tolerates concurrent *disjoint* bulk writes — the
+// allocators poison disjoint chunks outside their locks. A Memory with
+// clean pages does not: two disjoint spans can land on the same clean
+// page and race on its materialization. Forks, and any Memory after
+// DropOverlay, are therefore single-goroutine by contract, which is
+// exactly the service's execution model — one session, one arena, one
+// worker goroutine at a time.
 
 // PageShift is log2 of the overlay page size in segments.
 const PageShift = 12
@@ -79,24 +83,6 @@ func NewUniformImage(base vmem.Addr, numSegs int, code uint8) *Image {
 	return &Image{base: base, nseg: numSegs, views: views}
 }
 
-// Freeze snapshots a dense Memory into an Image, for base images whose
-// pristine state is not uniform. The codes are copied; the source Memory
-// stays independent.
-func (m *Memory) Freeze() *Image {
-	if m.units == nil {
-		panic("shadow: Freeze on an image-forked Memory")
-	}
-	codes := make([]uint8, len(m.units))
-	copy(codes, m.units)
-	np := numPages(len(codes))
-	views := make([][]uint8, np)
-	for pg := range views {
-		lo := pg << PageShift
-		views[pg] = codes[lo : lo+pageLen(pg, len(codes)) : lo+pageLen(pg, len(codes))]
-	}
-	return &Image{base: m.base, nseg: len(codes), views: views}
-}
-
 // Base returns the base address the image covers.
 func (img *Image) Base() vmem.Addr { return img.base }
 
@@ -105,8 +91,8 @@ func (img *Image) NumSegments() int { return img.nseg }
 
 // Fork returns a Memory whose every page aliases img: construction is
 // O(pages) pointer copies, no shadow bytes are written or owned until the
-// fork is mutated. See the package note above for the single-goroutine
-// contract forked memories carry.
+// fork is mutated. See the note above for the single-goroutine contract
+// clean pages carry.
 func Fork(img *Image) *Memory {
 	pages := make([][]uint8, len(img.views))
 	copy(pages, img.views)
@@ -119,26 +105,37 @@ func Fork(img *Image) *Memory {
 	}
 }
 
-// Forked reports whether m is an overlay fork of a base image.
-func (m *Memory) Forked() bool { return m.img != nil }
+// New returns a Memory showing img with every page already private: one
+// contiguous allocation holding a copy of the image, sliced into the page
+// table. It reads and writes exactly like a Fork of img; it differs only
+// in residency (OverlayStats reports every page) and in tolerating
+// concurrent disjoint writers until its first DropOverlay.
+func New(img *Image) *Memory {
+	m := Fork(img)
+	buf := make([]uint8, img.nseg)
+	for pg, view := range img.views {
+		lo := pg << PageShift
+		priv := buf[lo : lo+len(view) : lo+len(view)]
+		copy(priv, view)
+		m.pages[pg] = priv
+		m.dirty[pg>>6] |= 1 << (pg & 63)
+	}
+	m.dirtyPages, m.dirtyBytes = len(img.views), img.nseg
+	return m
+}
 
 // OverlayStats reports the overlay's footprint: privatized (dirty) page
-// count and their resident shadow bytes. Both are zero for a dense Memory
+// count and their resident shadow bytes. Both are zero for a fresh Fork
 // and right after DropOverlay — the measure of "memory proportional to
-// what the tenant dirtied".
+// what the tenant dirtied" — and cover the whole shadow for a fresh New.
 func (m *Memory) OverlayStats() (pages int, bytes int) {
 	return m.dirtyPages, m.dirtyBytes
 }
 
 // DropOverlay releases every privatized page back to the base image,
-// returning the fork to the pristine state in O(dirty pages). It reports
-// whether m was forked at all; a dense Memory is left untouched, so
-// callers can use it as "reset the shadow if image-backed" without
-// classifying first.
-func (m *Memory) DropOverlay() bool {
-	if m.img == nil {
-		return false
-	}
+// returning the Memory to the pristine state in O(dirty pages). Afterwards
+// every page is clean, as in a fresh Fork.
+func (m *Memory) DropOverlay() {
 	for w, word := range m.dirty {
 		for word != 0 {
 			pg := w<<6 + bits.TrailingZeros64(word)
@@ -148,7 +145,6 @@ func (m *Memory) DropOverlay() bool {
 		m.dirty[w] = 0
 	}
 	m.dirtyPages, m.dirtyBytes = 0, 0
-	return true
 }
 
 // materialize privatizes page pg (first write), copying the image codes it
@@ -163,45 +159,4 @@ func (m *Memory) materialize(pg int) []uint8 {
 		m.dirtyBytes += len(priv)
 	}
 	return m.pages[pg]
-}
-
-// forSpan visits the writable byte slices covering segments [p, p+n),
-// materializing overlay pages as it goes. off is the span-relative offset
-// of dst's first byte. Dense memories yield the single contiguous slice.
-func (m *Memory) forSpan(p, n int, fn func(off int, dst []uint8)) {
-	if n <= 0 {
-		return
-	}
-	if m.units != nil {
-		fn(0, m.units[p:p+n])
-		return
-	}
-	for off := 0; off < n; {
-		i := p + off
-		dst := m.materialize(i >> PageShift)
-		lo := i & pageMask
-		chunk := min(len(dst)-lo, n-off)
-		fn(off, dst[lo:lo+chunk])
-		off += chunk
-	}
-}
-
-// forSpanRead is forSpan's read-only twin: it never materializes, serving
-// clean pages straight from the image.
-func (m *Memory) forSpanRead(p, n int, fn func(off int, src []uint8)) {
-	if n <= 0 {
-		return
-	}
-	if m.units != nil {
-		fn(0, m.units[p:p+n])
-		return
-	}
-	for off := 0; off < n; {
-		i := p + off
-		src := m.pages[i>>PageShift]
-		lo := i & pageMask
-		chunk := min(len(src)-lo, n-off)
-		fn(off, src[lo:lo+chunk])
-		off += chunk
-	}
 }

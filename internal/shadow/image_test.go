@@ -3,6 +3,7 @@ package shadow
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"giantsan/internal/vmem"
@@ -38,9 +39,6 @@ func TestForkReadsImageWithoutResidency(t *testing.T) {
 	sp := multiPageSpace()
 	img := NewUniformImage(sp.Base(), int(sp.Size()>>SegShift), 0xFE)
 	m := Fork(img)
-	if !m.Forked() {
-		t.Fatal("Forked() = false on a fork")
-	}
 	for _, p := range []int{0, 1, PageSegs - 1, PageSegs, m.NumSegments() - 1} {
 		if got := m.LoadSeg(p); got != 0xFE {
 			t.Errorf("segment %d = %#x, want the image code", p, got)
@@ -95,9 +93,7 @@ func TestDropOverlayRestoresPristine(t *testing.T) {
 	if pages, _ := m.OverlayStats(); pages == 0 {
 		t.Fatal("no pages dirtied")
 	}
-	if !m.DropOverlay() {
-		t.Fatal("DropOverlay() = false on a fork")
-	}
+	m.DropOverlay()
 	if pages, b := m.OverlayStats(); pages != 0 || b != 0 {
 		t.Fatalf("after drop: %d pages, %d bytes resident", pages, b)
 	}
@@ -110,62 +106,32 @@ func TestDropOverlayRestoresPristine(t *testing.T) {
 	if m.LoadSeg(0) != 0x01 || fresh.LoadSeg(0) != 0xFE {
 		t.Error("post-drop write broken or leaked")
 	}
-	// Dense memories report false and are untouched.
-	d := New(sp)
-	d.Fill(0, 64, 9)
-	if d.DropOverlay() {
-		t.Error("DropOverlay() = true on a dense Memory")
+	// An all-private memory drops to the same clean state.
+	n := New(img)
+	if pages, b := n.OverlayStats(); pages != numPages(nseg) || b != nseg {
+		t.Fatalf("New resident: %d pages, %d bytes; want every page", pages, b)
 	}
-	if d.LoadSeg(5) != 9 {
-		t.Error("DropOverlay mutated a dense Memory")
+	n.Fill64(5, 2*PageSegs, 0x33)
+	n.DropOverlay()
+	if pages, b := n.OverlayStats(); pages != 0 || b != 0 {
+		t.Fatalf("New after drop: %d pages, %d bytes resident", pages, b)
 	}
-}
-
-func TestRawPanicsOnFork(t *testing.T) {
-	img := NewUniformImage(vmem.DefaultBase, 64, 0)
-	m := Fork(img)
-	defer func() {
-		if recover() == nil {
-			t.Error("Raw() on a fork did not panic")
-		}
-	}()
-	m.Raw()
-}
-
-func TestFreezeSnapshotsDenseMemory(t *testing.T) {
-	sp := multiPageSpace()
-	nseg := int(sp.Size() >> SegShift)
-	src := New(sp)
-	for i := 0; i < nseg; i += 97 {
-		src.StoreSeg(i, uint8(i))
-	}
-	img := src.Freeze()
-	m := Fork(img)
-	if !bytes.Equal(m.Snapshot(0, nseg), src.Snapshot(0, nseg)) {
-		t.Fatal("fork of frozen image diverges from the source")
-	}
-	// The three are independent: mutating any one leaves the others alone.
-	src.StoreSeg(0, 0x77)
-	m.StoreSeg(97, 0x66)
-	if m.LoadSeg(0) == 0x77 || src.LoadSeg(97) == 0x66 {
-		t.Error("freeze did not decouple the fork from its source")
-	}
-	if fresh := Fork(img); fresh.LoadSeg(97) == 0x66 {
-		t.Error("fork write reached the image")
+	if !bytes.Equal(n.Snapshot(0, nseg), fresh.Snapshot(0, nseg)) {
+		t.Fatal("dropped New is not byte-identical to a fresh fork")
 	}
 }
 
 // TestForkMatchesDense is the overlay's differential suite: the same
-// operation sequence applied to a dense Memory and to an image fork must
-// produce byte-identical shadows at every probe point, across every writer
-// and both wide readers.
+// operation sequence applied to a dense Memory (New: every page private
+// from the start) and to a lazy Fork of the same image must produce
+// byte-identical shadows at every probe point, across every writer and
+// both wide readers.
 func TestForkMatchesDense(t *testing.T) {
 	sp := multiPageSpace()
 	nseg := int(sp.Size() >> SegShift)
-	const code = 0xFE
-	dense := New(sp)
-	dense.Fill(0, nseg, code)
-	fork := Fork(NewUniformImage(sp.Base(), nseg, code))
+	img := NewUniformImage(sp.Base(), nseg, 0xFE)
+	dense := New(img)
+	fork := Fork(img)
 
 	rng := rand.New(rand.NewSource(8))
 	span := func() (int, int) {
@@ -206,10 +172,14 @@ func TestForkMatchesDense(t *testing.T) {
 			dense.CopySeg(p, tpl)
 			fork.CopySeg(p, tpl)
 		case 5:
-			off := vmem.Addr(rng.Intn(int(sp.Size()) / 2))
+			// An unaligned address span, rounded out to the segments it
+			// overlaps.
+			a := sp.Base() + vmem.Addr(rng.Intn(int(sp.Size())/2))
 			size := uint64(rng.Intn(int(sp.Size())/2-1) + 1)
-			dense.ReimageSpan(sp.Base()+off, size, v)
-			fork.ReimageSpan(sp.Base()+off, size, v)
+			l := dense.Index(a)
+			n := dense.Index(a+vmem.Addr(size)-1) - l + 1
+			dense.Fill64(l, n, v)
+			fork.Fill64(l, n, v)
 		case 6:
 			p := rng.Intn(nseg - WideSegs + 1)
 			if dw, fw := dense.LoadWide(p), fork.LoadWide(p); dw != fw {
@@ -231,5 +201,69 @@ func TestForkMatchesDense(t *testing.T) {
 				t.Fatalf("straddle LoadWide(%d): dense %#x fork %#x", p, dw, fw)
 			}
 		}
+	}
+}
+
+// TestNewToleratesConcurrentDisjointWriters pins the concurrency contract
+// the allocators rely on when they poison outside their locks: on a New
+// memory (every page private), goroutines writing disjoint spans — which
+// share pages, since the span boundaries fall mid-page — must leave
+// exactly the shadow a serial run of the same writes leaves. Run with
+// -race to check that no writer touches shared page-table state.
+func TestNewToleratesConcurrentDisjointWriters(t *testing.T) {
+	sp := multiPageSpace()
+	nseg := int(sp.Size() >> SegShift)
+	img := NewUniformImage(sp.Base(), nseg, 0xFE)
+	const writers = 6
+	type op struct {
+		kind, p, n int
+		v          uint8
+		w          uint64
+		tpl        []uint8
+	}
+	ops := make([][]op, writers)
+	for g := range ops {
+		lo, hi := g*nseg/writers, (g+1)*nseg/writers
+		rng := rand.New(rand.NewSource(int64(g)))
+		for i := 0; i < 200; i++ {
+			p := lo + rng.Intn(hi-lo-WideSegs)
+			n := min(rng.Intn(PageSegs), hi-p)
+			o := op{kind: rng.Intn(3), p: p, n: n, v: uint8(rng.Intn(256)), w: rng.Uint64()}
+			if o.kind == 1 {
+				o.tpl = make([]uint8, min(n, 512))
+				rng.Read(o.tpl)
+			}
+			ops[g] = append(ops[g], o)
+		}
+	}
+	apply := func(m *Memory, ops []op) {
+		for _, o := range ops {
+			switch o.kind {
+			case 0:
+				m.Fill64(o.p, o.n, o.v)
+			case 1:
+				m.CopySeg(o.p, o.tpl)
+			case 2:
+				m.StoreWide(o.p, o.w)
+			}
+		}
+	}
+
+	serial := New(img)
+	for _, o := range ops {
+		apply(serial, o)
+	}
+	concurrent := New(img)
+	var wg sync.WaitGroup
+	for g := range ops {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			apply(concurrent, ops[g])
+		}(g)
+	}
+	wg.Wait()
+	if !bytes.Equal(serial.Snapshot(0, nseg), concurrent.Snapshot(0, nseg)) {
+		t.Fatal("concurrent disjoint writers diverge from the serial run")
 	}
 }

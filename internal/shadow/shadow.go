@@ -8,12 +8,15 @@
 // (internal/asan, internal/core). That split mirrors the paper, where the
 // shadow mapping is shared infrastructure and only the encoding changes.
 //
-// A Memory is either dense — one contiguous code array, the layout every
-// experiment driver uses — or an overlay fork of an immutable base Image
-// (see image.go): pages alias the shared pristine snapshot until first
-// write privatizes them, which is what lets the service layer keep
-// thousands of resident arenas whose shadow cost is proportional to what
-// each tenant dirtied.
+// A Memory is a page table over an immutable base Image (see image.go):
+// the pristine pre-poisoned snapshot every instance of one sanitizer
+// configuration starts from. Clean pages alias the shared image; the first
+// write to a page privatizes a copy. Real ASan and GiantSan reserve the
+// shadow with mmap and let the kernel fill it in lazily page by page, so
+// the copy-on-write page table is the faithful model, not an
+// approximation. Fork builds a Memory whose pages are all clean (the
+// service's pooled arenas, resident shadow proportional to what each
+// tenant dirtied); New builds one whose pages are all private up front.
 package shadow
 
 import (
@@ -37,21 +40,13 @@ const SegSize = 1 << SegShift
 type Memory struct {
 	base vmem.Addr // base address of the covered space
 	nseg int       // total segments covered
-	// Dense representation: the contiguous code array. nil when forked.
-	units []uint8
-	// Overlay representation (Fork): per-page views into either the base
-	// image or privatized copies, plus the dirty-page bitmap. See image.go.
+	// Per-page views into either the base image or privatized copies,
+	// plus the dirty-page bitmap. See image.go.
 	img        *Image
 	pages      [][]uint8
 	dirty      []uint64
 	dirtyPages int
 	dirtyBytes int
-}
-
-// New returns zeroed dense shadow memory covering the whole space.
-func New(sp *vmem.Space) *Memory {
-	n := int(sp.Size() >> SegShift)
-	return &Memory{base: sp.Base(), nseg: n, units: make([]uint8, n)}
 }
 
 // Base returns the base address of the covered space.
@@ -97,13 +92,9 @@ func (m *Memory) IndexUnchecked(a vmem.Addr) int {
 
 // CodeAt returns the state code of segment index p without the
 // covered-space classification — the hot read primitive the check paths
-// build on. p must be below NumSegments. Dense memories read the flat
-// array; forks read through the page table (clean pages serve the shared
-// base image).
+// build on. p must be below NumSegments. One page-table read: clean pages
+// serve the shared base image.
 func (m *Memory) CodeAt(p int) uint8 {
-	if m.units != nil {
-		return m.units[p]
-	}
 	return m.pages[p>>PageShift][p&pageMask]
 }
 
@@ -111,19 +102,6 @@ func (m *Memory) CodeAt(p int) uint8 {
 // the covered-space check. a must satisfy Contains(a).
 func (m *Memory) LoadUnchecked(a vmem.Addr) uint8 {
 	return m.CodeAt(int((a - m.base) >> SegShift))
-}
-
-// Raw exposes the backing state-code array for hot check paths: index p
-// holds segment p's code (the same values LoadSeg returns). Callers must
-// keep every index below NumSegments and must treat the slice as read-only;
-// all mutation goes through Store/StoreSeg/Fill. Only dense memories have
-// a contiguous backing array — a forked Memory panics here; use CodeAt /
-// Snapshot, which serve both layouts.
-func (m *Memory) Raw() []uint8 {
-	if m.units == nil {
-		panic("shadow: Raw on an image-forked Memory (no contiguous backing); use CodeAt or Snapshot")
-	}
-	return m.units
 }
 
 // WideSegs is the number of segments one LoadWide covers.
@@ -138,9 +116,6 @@ const WideSegs = 8
 func (m *Memory) LoadWide(p int) uint64 {
 	if Debug {
 		m.assertSpan("LoadWide", p, WideSegs)
-	}
-	if m.units != nil {
-		return binary.LittleEndian.Uint64(m.units[p:])
 	}
 	page := m.pages[p>>PageShift]
 	if off := p & pageMask; off+WideSegs <= len(page) {
@@ -157,10 +132,6 @@ func (m *Memory) LoadWide(p int) uint64 {
 
 // StoreSeg sets the state code of segment index p.
 func (m *Memory) StoreSeg(p int, v uint8) {
-	if m.units != nil {
-		m.units[p] = v
-		return
-	}
 	m.materialize(p >> PageShift)[p&pageMask] = v
 }
 
@@ -189,11 +160,14 @@ func (m *Memory) Fill(p, n int, v uint8) {
 	if Debug {
 		m.assertSpan("Fill", p, n)
 	}
-	m.forSpan(p, n, func(_ int, dst []uint8) {
+	for n > 0 {
+		dst := m.materialize(p >> PageShift)[p&pageMask:]
+		dst = dst[:min(len(dst), n)]
 		for i := range dst {
 			dst[i] = v
 		}
-	})
+		p, n = p+len(dst), n-len(dst)
+	}
 }
 
 // Fill64 sets n consecutive segments starting at segment index p to v,
@@ -206,7 +180,10 @@ func (m *Memory) Fill64(p, n int, v uint8) {
 		m.assertSpan("Fill64", p, n)
 	}
 	word := uint64(v) * 0x0101010101010101
-	m.forSpan(p, n, func(_ int, dst []uint8) {
+	for n > 0 {
+		dst := m.materialize(p >> PageShift)[p&pageMask:]
+		dst = dst[:min(len(dst), n)]
+		p, n = p+len(dst), n-len(dst)
 		for len(dst) >= 8 {
 			binary.LittleEndian.PutUint64(dst, word)
 			dst = dst[8:]
@@ -214,23 +191,7 @@ func (m *Memory) Fill64(p, n int, v uint8) {
 		for i := range dst {
 			dst[i] = v
 		}
-	})
-}
-
-// ReimageSpan returns the segments covering the address span [a, a+size)
-// to one uniform code — the arena-recycling reinitialization hook. The
-// segment count is derived from the span's *end* segment, so an unaligned
-// start address still reimages its last overlapping segment (deriving the
-// count from size alone under-counts by one whenever a%8 + size%8 spills
-// into an extra segment). Retires 8 segments per machine store via Fill64.
-// Reimaging is arena maintenance, not sanitizer work: callers deliberately
-// bypass the Stats counters.
-func (m *Memory) ReimageSpan(a vmem.Addr, size uint64, v uint8) {
-	if size == 0 {
-		return
 	}
-	l := m.Index(a)
-	m.Fill64(l, m.Index(a+vmem.Addr(size)-1)-l+1, v)
 }
 
 // StoreWide sets the codes of the 8 consecutive segments starting at
@@ -240,15 +201,9 @@ func (m *Memory) StoreWide(p int, w uint64) {
 	if Debug {
 		m.assertSpan("StoreWide", p, WideSegs)
 	}
-	if m.units != nil {
-		binary.LittleEndian.PutUint64(m.units[p:], w)
-		return
-	}
 	var buf [WideSegs]uint8
 	binary.LittleEndian.PutUint64(buf[:], w)
-	m.forSpan(p, WideSegs, func(off int, dst []uint8) {
-		copy(dst, buf[off:])
-	})
+	m.copySegs(p, buf[:])
 }
 
 // CopySeg stamps the template codes into the segments starting at segment
@@ -258,22 +213,30 @@ func (m *Memory) CopySeg(p int, codes []uint8) {
 	if Debug {
 		m.assertSpan("CopySeg", p, len(codes))
 	}
-	m.forSpan(p, len(codes), func(off int, dst []uint8) {
-		copy(dst, codes[off:])
-	})
+	m.copySegs(p, codes)
+}
+
+// copySegs copies codes into the segments starting at p, one page run at
+// a time.
+func (m *Memory) copySegs(p int, codes []uint8) {
+	for len(codes) > 0 {
+		k := copy(m.materialize(p >> PageShift)[p&pageMask:], codes)
+		p, codes = p+k, codes[k:]
+	}
 }
 
 // Snapshot copies the state codes of n segments starting at segment p.
-// It exists for tests, the shadowviz tool, and any caller that needs a
-// contiguous view of a (possibly forked) shadow.
+// It exists for tests, digests, the shadowviz tool, and any caller that
+// needs a contiguous view of the paged shadow.
 func (m *Memory) Snapshot(p, n int) []uint8 {
 	if p < 0 || n < 0 || p+n > m.nseg {
 		panic(fmt.Sprintf("shadow: Snapshot span [%d, %d+%d) outside the %d covered segments", p, p, n, m.nseg))
 	}
 	out := make([]uint8, n)
-	m.forSpanRead(p, n, func(off int, src []uint8) {
-		copy(out[off:], src)
-	})
+	for off := 0; off < n; {
+		i := p + off
+		off += copy(out[off:], m.pages[i>>PageShift][i&pageMask:])
+	}
 	return out
 }
 

@@ -49,9 +49,8 @@ type Stack struct {
 	limit vmem.Addr
 	bump  vmem.Addr
 	// high is the high-water mark of the bump frontier: Pop recycles bump
-	// downward, but the shadow (and simulated memory) stay dirty up to the
-	// highest frame ever pushed, which is the extent arena recycling must
-	// scrub.
+	// downward, but the simulated memory stays dirty up to the highest
+	// frame ever pushed, which is the extent arena recycling must zero.
 	high   vmem.Addr
 	frames []*frame
 	// DetectUAR controls whether popped frames are poisoned as
@@ -241,16 +240,15 @@ func (s *Stack) Pop() {
 func (s *Stack) Depth() int { return len(s.frames) }
 
 // HighWater returns one past the highest stack address any frame ever
-// reached. Pop lowers the bump frontier but leaves shadow and memory
-// dirty up to this mark, so it bounds the extent arena recycling scrubs.
+// reached. Pop lowers the bump frontier but leaves memory dirty up to
+// this mark, so it bounds the extent arena recycling zeroes.
 func (s *Stack) HighWater() vmem.Addr { return s.high }
 
 // Reinit returns the stack to its just-constructed state and reports the
 // arena footprint it releases ([start, HighWater)). Unlike Reset it does
-// not poison anything: the caller (rt.Env.Reset) restores the shadow over
-// the released extent to the pristine unallocated image, erasing redzones
-// and after-return codes alike so a recycled arena is indistinguishable
-// from a fresh one.
+// not poison anything: the caller (rt.Env.Reset) returns the whole shadow
+// to the pristine unallocated image, erasing redzones and after-return
+// codes alike so a recycled arena is indistinguishable from a fresh one.
 func (s *Stack) Reinit() uint64 {
 	used := uint64(s.high - s.start)
 	s.frames = s.frames[:0]

@@ -31,7 +31,8 @@ func shadowDigest(env rt.Runtime) string {
 		return ""
 	}
 	h := fnv.New64a()
-	h.Write(sh.Shadow().Raw())
+	m := sh.Shadow()
+	h.Write(m.Snapshot(0, m.NumSegments()))
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 

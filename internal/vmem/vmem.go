@@ -158,7 +158,7 @@ func (s *Space) Memset(a Addr, b byte, n uint64) {
 }
 
 // Zero resets the n bytes at address a to zero, the state a fresh space
-// starts in. The arena pool uses it to scrub exactly the regions a
+// starts in. The arena pool uses it to zero exactly the regions a
 // recycled run dirtied instead of reallocating the whole space.
 func (s *Space) Zero(a Addr, n uint64) {
 	if n == 0 {
