@@ -64,8 +64,6 @@ import (
 
 	"giantsan/internal/bench"
 	"giantsan/internal/canary"
-	"giantsan/internal/instrument"
-	"giantsan/internal/interp"
 	"giantsan/internal/lfp"
 	"giantsan/internal/rt"
 	"giantsan/internal/service"
@@ -343,21 +341,9 @@ func recordRun(id string, scale int, path string, stdout, stderr io.Writer) int 
 		return 1
 	}
 	defer f.Close()
-	tw := trace.NewWriter(f)
-	inner := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: w.HeapBytes * uint64(scale)})
-	rec := trace.NewRecorder(inner, tw)
-	ex, err := interp.Prepare(w.Build(scale), instrument.GiantSanProfile, rec)
+	res, err := canary.Record(f, w.Build(scale), canary.LegFor(rt.GiantSan), w.HeapBytes*uint64(scale))
 	if err != nil {
-		fmt.Fprintln(stderr, "gsan:", err)
-		return 1
-	}
-	res := ex.Run()
-	if err := tw.Flush(); err != nil {
-		fmt.Fprintln(stderr, "gsan:", err)
-		return 1
-	}
-	if rec.Err() != nil {
-		fmt.Fprintln(stderr, "gsan: recording:", rec.Err())
+		fmt.Fprintln(stderr, "gsan: recording:", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "recorded %s (%d accesses, %d errors) to %s\n",

@@ -1,15 +1,9 @@
 package canary
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 
-	"giantsan/internal/instrument"
-	"giantsan/internal/interp"
 	"giantsan/internal/ir"
 	"giantsan/internal/progen"
 	"giantsan/internal/rt"
@@ -139,19 +133,6 @@ func programFor(seed int64) (*ir.Prog, string) {
 	return progen.Clean(seed), "clean"
 }
 
-// profileFor matches the instrumentation profile to the runtime kind,
-// exactly as the differential suites pair them.
-func profileFor(kind rt.Kind) instrument.Profile {
-	switch kind {
-	case rt.ASan:
-		return instrument.ASanProfile
-	case rt.ASanMinus:
-		return instrument.ASanMinusProfile
-	default:
-		return instrument.GiantSanProfile
-	}
-}
-
 // RunNext runs the next seed in sequence (the service's continuous mode).
 func (c *Canary) RunNext() (*Result, error) {
 	return c.RunSeed(c.next.Add(1) - 1)
@@ -168,7 +149,7 @@ func (c *Canary) RunSeed(seed int64) (*Result, error) {
 	p, bug := programFor(seed)
 	res := &Result{Seed: seed, Program: p.Name, PlantedBug: bug}
 
-	events, err := c.record(p)
+	events, err := RecordEvents(p, LegFor(c.cfg.Kind), c.cfg.HeapBytes)
 	if err != nil {
 		c.failures.Add(1)
 		return res, fmt.Errorf("canary: seed %d: %w", seed, err)
@@ -216,27 +197,6 @@ func (c *Canary) RunSeed(seed int64) (*Result, error) {
 	return res, nil
 }
 
-// record executes p under the configured sanitizer with a trace recorder
-// attached and returns the decoded events.
-func (c *Canary) record(p *ir.Prog) ([]trace.Event, error) {
-	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf)
-	inner := rt.New(rt.Config{Kind: c.cfg.Kind, HeapBytes: c.cfg.HeapBytes})
-	rec := trace.NewRecorder(inner, tw)
-	ex, err := interp.Prepare(p, profileFor(c.cfg.Kind), rec)
-	if err != nil {
-		return nil, fmt.Errorf("prepare: %w", err)
-	}
-	ex.Run()
-	if err := tw.Flush(); err != nil {
-		return nil, fmt.Errorf("flush: %w", err)
-	}
-	if rec.Err() != nil {
-		return nil, fmt.Errorf("record: %w", rec.Err())
-	}
-	return trace.ReadAll(&buf)
-}
-
 // artifactMeta is the JSON schema of the persisted repro description.
 type artifactMeta struct {
 	Seed       int64             `json:"seed"`
@@ -258,19 +218,9 @@ type artifactMeta struct {
 }
 
 // persist writes the shrunk trace and its JSON description into
-// Config.Dir, creating it if needed.
-func (c *Canary) persist(res *Result) error {
-	if err := os.MkdirAll(c.cfg.Dir, 0o755); err != nil {
-		return err
-	}
-	enc, err := trace.Encode(res.MinTrace)
-	if err != nil {
-		return err
-	}
-	tracePath := filepath.Join(c.cfg.Dir, fmt.Sprintf("repro-%d.trace", res.Seed))
-	if err := os.WriteFile(tracePath, enc, 0o644); err != nil {
-		return err
-	}
+// Config.Dir.
+func (c *Canary) persist(res *Result) (err error) {
+	stem := fmt.Sprintf("repro-%d", res.Seed)
 	meta := artifactMeta{
 		Seed:       res.Seed,
 		Program:    res.Program,
@@ -287,17 +237,8 @@ func (c *Canary) persist(res *Result) error {
 		Fast:       res.Fast,
 		Ref:        res.Ref,
 		Oracle:     res.Oracle,
-		Trace:      filepath.Base(tracePath),
+		Trace:      stem + ".trace",
 	}
-	blob, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	metaPath := tracePath[:len(tracePath)-len(".trace")] + ".json"
-	if err := os.WriteFile(metaPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	res.ArtifactTrace = tracePath
-	res.ArtifactMeta = metaPath
-	return nil
+	res.ArtifactTrace, res.ArtifactMeta, err = WriteArtifact(c.cfg.Dir, stem, res.MinTrace, &meta)
+	return err
 }

@@ -27,17 +27,13 @@ func TestCorpusThreeWayAgreement(t *testing.T) {
 	for _, kind := range []rt.Kind{rt.GiantSan, rt.ASan, rt.ASanMinus} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := Config{Kind: kind}.withDefaults()
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			detected := 0
 			for seed := int64(0); seed < corpusSeeds(); seed++ {
 				p, ok := progen.Buggy(seed)
 				if !ok {
 					continue
 				}
-				events, err := c.record(p)
+				events, err := RecordEvents(p, LegFor(kind), cfg.HeapBytes)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

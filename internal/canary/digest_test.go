@@ -13,16 +13,13 @@ import (
 // order.
 func TestSanLegShadowDigestPinned(t *testing.T) {
 	const want = "1139fe2959be4f9d"
-	c, err := New(Config{Kind: rt.GiantSan})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Kind: rt.GiantSan}.withDefaults()
 	p, _ := programFor(5)
-	events, err := c.record(p)
+	events, err := RecordEvents(p, LegFor(cfg.Kind), cfg.HeapBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := sanLeg(events, c.cfg, false, nil)
+	obs, err := sanLeg(events, cfg, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,48 +1,32 @@
 package fuzz
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"giantsan/internal/canary"
-	"giantsan/internal/instrument"
 	"giantsan/internal/interp"
 	"giantsan/internal/ir"
-	"giantsan/internal/report"
 	"giantsan/internal/rt"
 	"giantsan/internal/trace"
 )
 
-// Finding confirmation: every detection is replayed under the full
-// differential configuration matrix (the same matrix the blind validator
-// uses, minus the native leg — a faulting program's checksum legitimately
-// diverges natively because sanitized legs skip the faulted operation),
-// then trace-recorded and ddmin-shrunk into a replayable artifact that
+// Finding confirmation: every detection is replayed under the detecting
+// legs of canary.Legs() (the matrix the blind validator uses, minus the
+// native leg — a faulting program's checksum legitimately diverges
+// natively because sanitized legs skip the faulted operation), then
+// trace-recorded and ddmin-shrunk into a replayable artifact that
 // `gsan -replay` accepts.
-
-// matrix is the differential confirmation set.
-var matrix = []struct {
-	name string
-	prof instrument.Profile
-	kind rt.Kind
-}{
-	{"giantsan", instrument.GiantSanProfile, rt.GiantSan},
-	{"giantsan-cacheonly", instrument.CacheOnly, rt.GiantSan},
-	{"giantsan-elimonly", instrument.ElimOnly, rt.GiantSan},
-	{"asan", instrument.ASanProfile, rt.ASan},
-	{"asan--", instrument.ASanMinusProfile, rt.ASanMinus},
-}
 
 // confirm builds the Finding for a freshly detected class: differential
 // matrix verdicts, shrunk trace, persisted artifacts.
 func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding, error) {
+	legs := canary.Legs()[1:]
 	f := &Finding{
 		Class:      cls,
 		Executions: c.rep.Executions,
-		Detections: make(map[string]bool, len(matrix)),
+		Detections: make(map[string]bool, len(legs)),
 		Program:    string(ir.Encode(p)),
 	}
 	for _, e := range res.Errors.Errors {
@@ -52,19 +36,17 @@ func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding
 		}
 	}
 
-	for _, m := range matrix {
-		env := rt.Fork(rt.Config{Kind: m.kind, HeapBytes: c.cfg.HeapBytes})
-		ex, err := interp.Prepare(p, m.prof, env)
+	for _, leg := range legs {
+		r, err := canary.Run(p, leg, c.cfg.HeapBytes)
 		if err != nil {
-			return nil, fmt.Errorf("fuzz: confirm %s under %s: %w", cls, m.name, err)
+			return nil, fmt.Errorf("fuzz: confirm %s under %s: %w", cls, leg.Name(), err)
 		}
-		r := ex.Run()
-		f.Detections[m.name] = findingClass(&r.Errors) == cls
+		f.Detections[leg.Name()] = findingClass(&r.Errors) == cls
 	}
 
-	events, err := c.record(p)
+	events, err := canary.RecordEvents(p, canary.LegFor(rt.GiantSan), c.cfg.HeapBytes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fuzz: record: %w", err)
 	}
 	f.OriginalEvents = len(events)
 
@@ -94,28 +76,6 @@ func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding
 	return f, nil
 }
 
-// record executes p under GiantSan with a trace recorder attached and
-// returns the decoded events. Uses rt.New: the recorder wraps the runtime
-// interface, and the trace must replay against any construction.
-func (c *campaign) record(p *ir.Prog) ([]trace.Event, error) {
-	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf)
-	inner := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: c.cfg.HeapBytes})
-	rec := trace.NewRecorder(inner, tw)
-	ex, err := interp.Prepare(p, instrument.GiantSanProfile, rec)
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: record: %w", err)
-	}
-	ex.Run()
-	if err := tw.Flush(); err != nil {
-		return nil, fmt.Errorf("fuzz: record flush: %w", err)
-	}
-	if rec.Err() != nil {
-		return nil, fmt.Errorf("fuzz: record: %w", rec.Err())
-	}
-	return trace.ReadAll(&buf)
-}
-
 // replayClass replays events under an anchored GiantSan runtime and
 // returns the bug class of the first non-noise error ("" when clean or
 // the replay itself fails).
@@ -125,13 +85,7 @@ func replayClass(events []trace.Event, heapBytes uint64) string {
 	if err != nil {
 		return ""
 	}
-	return findingClassOf(&rr.Errors)
-}
-
-// findingClassOf is findingClass over a value log (trace.ReplayResult
-// exposes the log by value).
-func findingClassOf(log *report.Log) string {
-	return findingClass(log)
+	return findingClass(&rr.Errors)
 }
 
 // findingArtifactMeta is the JSON schema of a persisted finding.
@@ -154,25 +108,10 @@ type findingArtifactMeta struct {
 }
 
 // persist writes the finding's artifacts into ArtifactDir: the shrunk
-// trace (raw encoding, `gsan -replay` compatible), the mutant program,
-// and the JSON description tying them together.
-func (c *campaign) persist(f *Finding, events []trace.Event) error {
-	if err := os.MkdirAll(c.cfg.ArtifactDir, 0o755); err != nil {
-		return err
-	}
-	enc, err := trace.Encode(events)
-	if err != nil {
-		return err
-	}
-	stem := fmt.Sprintf("fuzz-%s", f.Class)
-	tracePath := filepath.Join(c.cfg.ArtifactDir, stem+".trace")
-	if err := os.WriteFile(tracePath, enc, 0o644); err != nil {
-		return err
-	}
-	progPath := filepath.Join(c.cfg.ArtifactDir, stem+".ir")
-	if err := os.WriteFile(progPath, []byte(f.Program), 0o644); err != nil {
-		return err
-	}
+// trace (raw encoding, `gsan -replay` compatible), the JSON description
+// tying it to the mutant program, and the program itself.
+func (c *campaign) persist(f *Finding, events []trace.Event) (err error) {
+	stem := "fuzz-" + f.Class
 	meta := findingArtifactMeta{
 		Class:      f.Class,
 		Kind:       f.Kind,
@@ -187,19 +126,13 @@ func (c *campaign) persist(f *Finding, events []trace.Event) error {
 		Steps:      f.ShrinkSteps,
 		Replays:    f.ShrinkReplays,
 		OneMinimal: f.OneMinimal,
-		Trace:      filepath.Base(tracePath),
-		Program:    filepath.Base(progPath),
+		Trace:      stem + ".trace",
+		Program:    stem + ".ir",
 	}
-	blob, err := json.MarshalIndent(&meta, "", "  ")
+	f.ArtifactTrace, f.ArtifactMeta, err = canary.WriteArtifact(c.cfg.ArtifactDir, stem, events, &meta)
 	if err != nil {
 		return err
 	}
-	metaPath := filepath.Join(c.cfg.ArtifactDir, stem+".json")
-	if err := os.WriteFile(metaPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	f.ArtifactTrace = tracePath
-	f.ArtifactMeta = metaPath
-	f.ArtifactProg = progPath
-	return nil
+	f.ArtifactProg = filepath.Join(c.cfg.ArtifactDir, meta.Program)
+	return os.WriteFile(f.ArtifactProg, []byte(f.Program), 0o644)
 }

@@ -23,7 +23,7 @@ import (
 	"runtime"
 
 	"giantsan/internal/bench"
-	"giantsan/internal/instrument"
+	"giantsan/internal/canary"
 	"giantsan/internal/interp"
 	"giantsan/internal/ir"
 	"giantsan/internal/parallel"
@@ -216,23 +216,6 @@ func (c *campaign) allDetected() bool {
 	return true
 }
 
-// execOne runs p once under the full GiantSan profile on a fresh forked
-// runtime. Pure: shared-nothing, no campaign state touched, safe to fan
-// out.
-func (c *campaign) execOne(p *ir.Prog) (res *interp.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fuzz: executing %s: panic: %v", p.Name, r)
-		}
-	}()
-	env := rt.Fork(rt.Config{Kind: rt.GiantSan, HeapBytes: c.cfg.HeapBytes})
-	ex, err := interp.Prepare(p, instrument.GiantSanProfile, env)
-	if err != nil {
-		return nil, err
-	}
-	return ex.Run(), nil
-}
-
 // seedPhase founds the corpus: progen.Clean programs plus any persisted
 // corpus entries, each executed once (counted against the budget) so
 // their coverage baselines the novelty set.
@@ -250,7 +233,7 @@ func (c *campaign) seedPhase() error {
 	}
 	results, err := parallel.Map(len(progs), parallel.Options{Workers: c.cfg.Parallel},
 		func(i int) (*interp.Result, error) {
-			return c.execOne(progs[i])
+			return canary.Run(progs[i], canary.LegFor(rt.GiantSan), c.cfg.HeapBytes)
 		})
 	if err != nil {
 		return err
@@ -321,7 +304,7 @@ func (c *campaign) round(n int) error {
 		func(i int) (runOut, error) {
 			t := tasks[i]
 			p := Mutate(t.parent, t.donor, t.seed, t.bias)
-			res, err := c.execOne(p)
+			res, err := canary.Run(p, canary.LegFor(rt.GiantSan), c.cfg.HeapBytes)
 			return runOut{prog: p, res: res, err: err}, nil
 		})
 	if err != nil {

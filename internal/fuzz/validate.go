@@ -3,36 +3,20 @@ package fuzz
 import (
 	"fmt"
 
-	"giantsan/internal/instrument"
-	"giantsan/internal/interp"
-	"giantsan/internal/ir"
+	"giantsan/internal/canary"
 	"giantsan/internal/parallel"
 	"giantsan/internal/progen"
-	"giantsan/internal/rt"
 )
 
 // Blind differential validation (the original memfuzz mode, relocated so
 // both the CLI and the test suite drive one implementation): randomly
 // generated programs with by-construction ground truth, executed under
-// every sanitizer configuration, cross-checking three properties —
+// every leg of the differential matrix (canary.Legs), cross-checking
+// three properties —
 //
 //  1. no false positives on clean programs,
 //  2. no missed planted bugs on buggy programs,
 //  3. identical program semantics (checksums) under every profile.
-
-// validateConfigs is the full differential matrix, native leg included
-// (clean programs must checksum identically under every profile).
-var validateConfigs = []struct {
-	prof instrument.Profile
-	kind rt.Kind
-}{
-	{instrument.Native, rt.GiantSan},
-	{instrument.GiantSanProfile, rt.GiantSan},
-	{instrument.CacheOnly, rt.GiantSan},
-	{instrument.ElimOnly, rt.GiantSan},
-	{instrument.ASanProfile, rt.ASan},
-	{instrument.ASanMinusProfile, rt.ASanMinus},
-}
 
 // ValidateReport is the outcome of one validation sweep.
 type ValidateReport struct {
@@ -54,35 +38,26 @@ func (r *ValidateReport) Vacuous() bool {
 	return r.Planted == 0
 }
 
-func validateRun(p *ir.Prog, ci int, heapBytes uint64) (*interp.Result, error) {
-	cfg := validateConfigs[ci]
-	env := rt.New(rt.Config{Kind: cfg.kind, HeapBytes: heapBytes})
-	ex, err := interp.Prepare(p, cfg.prof, env)
-	if err != nil {
-		return nil, err
-	}
-	return ex.Run(), nil
-}
-
-// validateClean checks one clean seed under every configuration.
+// validateClean checks one clean seed under every leg, the native leg
+// first (clean programs must checksum identically under every profile).
 func validateClean(s int64, heapBytes uint64) []string {
 	var fails []string
 	p := progen.Clean(s)
 	var base uint64
-	for ci := range validateConfigs {
-		res, err := validateRun(p, ci, heapBytes)
+	for i, leg := range canary.Legs() {
+		res, err := canary.Run(p, leg, heapBytes)
 		if err != nil {
-			fails = append(fails, fmt.Sprintf("seed %d (%s): %v", s, validateConfigs[ci].prof.Name, err))
+			fails = append(fails, fmt.Sprintf("seed %d (%s): %v", s, leg.Name(), err))
 			continue
 		}
 		if res.Errors.Total() != 0 {
 			fails = append(fails, fmt.Sprintf("seed %d: false positive under %s: %v",
-				s, validateConfigs[ci].prof.Name, res.Errors.Errors[0]))
+				s, leg.Name(), res.Errors.Errors[0]))
 		}
-		if ci == 0 {
+		if i == 0 {
 			base = res.Checksum
 		} else if res.Checksum != base {
-			fails = append(fails, fmt.Sprintf("seed %d: semantics diverge under %s", s, validateConfigs[ci].prof.Name))
+			fails = append(fails, fmt.Sprintf("seed %d: semantics diverge under %s", s, leg.Name()))
 		}
 	}
 	return fails
@@ -95,14 +70,14 @@ func validateBuggy(s int64, heapBytes uint64) (fails []string, planted bool) {
 	if !ok {
 		return nil, false
 	}
-	for ci := 1; ci < len(validateConfigs); ci++ { // skip native
-		res, err := validateRun(p, ci, heapBytes)
+	for _, leg := range canary.Legs()[1:] { // skip native
+		res, err := canary.Run(p, leg, heapBytes)
 		if err != nil {
-			fails = append(fails, fmt.Sprintf("seed %d (%s): %v", s, validateConfigs[ci].prof.Name, err))
+			fails = append(fails, fmt.Sprintf("seed %d (%s): %v", s, leg.Name(), err))
 			continue
 		}
 		if res.Errors.Total() == 0 {
-			fails = append(fails, fmt.Sprintf("seed %d: %s missed the planted bug", s, validateConfigs[ci].prof.Name))
+			fails = append(fails, fmt.Sprintf("seed %d: %s missed the planted bug", s, leg.Name()))
 		}
 	}
 	return fails, true
@@ -132,7 +107,7 @@ func Validate(n int, seed int64, workers int) (*ValidateReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &ValidateReport{Seeds: n, Configs: len(validateConfigs)}
+	rep := &ValidateReport{Seeds: n, Configs: len(canary.Legs())}
 	for _, v := range clean {
 		rep.Failures = append(rep.Failures, v.fails...)
 	}

@@ -309,9 +309,27 @@ func (lx *lexer) next() (token, error) {
 	}
 }
 
+// maxNesting caps how deeply statements and expressions may nest. The
+// parser recurses once per level and Go cannot recover from a stack
+// overflow, so input nested deep enough to exhaust the stack (a corrupt
+// corpus file, a hostile artifact) must be refused as malformed before
+// it gets there. Generated programs nest a handful of levels.
+const maxNesting = 1000
+
 type parser struct {
 	lx     *lexer
 	peeked *token
+	depth  int // statements and expressions currently open
+}
+
+// enter opens one nesting level at the token at off; the caller closes
+// it with p.depth--.
+func (p *parser) enter(off int) error {
+	p.depth++
+	if p.depth > maxNesting {
+		return errAt(off, "nesting deeper than %d levels", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) next() (token, error) {
@@ -427,9 +445,14 @@ func (p *parser) stmts() ([]Stmt, error) {
 }
 
 func (p *parser) stmt() (Stmt, error) {
-	if _, err := p.expect(tLParen, "'(' starting a statement"); err != nil {
+	open, err := p.expect(tLParen, "'(' starting a statement")
+	if err != nil {
 		return nil, err
 	}
+	if err := p.enter(open.off); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	head, err := p.expect(tAtom, "statement head")
 	if err != nil {
 		return nil, err
@@ -664,6 +687,10 @@ func (p *parser) expr() (Expr, error) {
 	default:
 		return nil, errAt(t.off, "expected expression")
 	}
+	if err := p.enter(t.off); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	head, err := p.expect(tAtom, "expression head")
 	if err != nil {
 		return nil, err

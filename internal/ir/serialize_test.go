@@ -109,3 +109,36 @@ func TestDecodeErrorsCarryOffsets(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRefusesDeepNesting: nesting deep enough to exhaust the
+// parser's stack is refused as malformed input, with the usual offset, at
+// the first level past the cap. Without the cap, a million nested frames
+// kill the process with a stack overflow that recover cannot catch.
+func TestDecodeRefusesDeepNesting(t *testing.T) {
+	const levels = 1000000
+	src := "(prog x " + strings.Repeat("(frame ", levels) + strings.Repeat(")", levels) + ")"
+	_, err := ir.Decode([]byte(src))
+	if err == nil {
+		t.Fatal("decode of a million nested frames succeeded")
+	}
+	if !strings.Contains(err.Error(), "offset 7008: nesting deeper than 1000 levels") {
+		t.Fatalf("error %q, want the 1001st frame's offset and the cap", err)
+	}
+
+	expr := "(prog x (decl v " + strings.Repeat("(rand ", levels) + "nil" + strings.Repeat(")", levels) + "))"
+	if _, err := ir.Decode([]byte(expr)); err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+		t.Fatalf("decode of a million nested expressions: %v, want the nesting error", err)
+	}
+}
+
+// TestSerializeRoundTripUnderNestingCap: the cap leaves every generated
+// program decodable — every clean and buggy program of seeds 0-999 still
+// round-trips exactly.
+func TestSerializeRoundTripUnderNestingCap(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		roundTrip(t, progen.Clean(seed))
+		if p, ok := progen.Buggy(seed); ok {
+			roundTrip(t, p)
+		}
+	}
+}

@@ -1,10 +1,11 @@
-package progen
+package progen_test
 
 import (
 	"testing"
 
-	"giantsan/internal/instrument"
+	"giantsan/internal/canary"
 	"giantsan/internal/ir"
+	. "giantsan/internal/progen"
 	"giantsan/internal/report"
 	"giantsan/internal/rt"
 )
@@ -33,7 +34,7 @@ func TestBuggyKindCorpusCoversEveryErrorKind(t *testing.T) {
 				continue
 			}
 			planted++
-			res := run(t, p, instrument.GiantSanProfile, rt.GiantSan)
+			res := run(t, p, canary.LegFor(rt.GiantSan))
 			if res.Errors.Total() == 0 {
 				t.Fatalf("%s seed %d: planted bug not detected", kind, seed)
 			}
@@ -66,8 +67,8 @@ func TestBuggyKindOverflowMatchesBuggy(t *testing.T) {
 		if !okA {
 			continue
 		}
-		ra := run(t, a, instrument.GiantSanProfile, rt.GiantSan)
-		rb := run(t, b, instrument.GiantSanProfile, rt.GiantSan)
+		ra := run(t, a, canary.LegFor(rt.GiantSan))
+		rb := run(t, b, canary.LegFor(rt.GiantSan))
 		if ra.Checksum != rb.Checksum || ra.Stats.Accesses != rb.Stats.Accesses {
 			t.Fatalf("seed %d: BuggyKind(BugOverflow) diverged from Buggy", seed)
 		}
@@ -103,12 +104,12 @@ func TestGeneratedProgramsNeverVacuous(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		p := Clean(seed)
 		walk(p.Body)
-		res := run(t, p, instrument.GiantSanProfile, rt.GiantSan)
+		res := run(t, p, canary.LegFor(rt.GiantSan))
 		if res.Stats.Accesses == 0 {
 			t.Fatalf("seed %d: clean program performed no memory accesses", seed)
 		}
 	}
-	if minSize < minAllocSize {
-		t.Fatalf("generator emitted a %d-byte allocation (floor %d)", minSize, minAllocSize)
+	if minSize < MinAllocSize {
+		t.Fatalf("generator emitted a %d-byte allocation (floor %d)", minSize, MinAllocSize)
 	}
 }

@@ -1,36 +1,25 @@
-package progen
+package progen_test
 
 import (
 	"testing"
 
+	"giantsan/internal/canary"
 	"giantsan/internal/core"
 	"giantsan/internal/instrument"
 	"giantsan/internal/interp"
 	"giantsan/internal/ir"
+	. "giantsan/internal/progen"
 	"giantsan/internal/rt"
 )
 
-// run executes p under one profile/runtime pair.
-func run(t *testing.T, p *ir.Prog, prof instrument.Profile, kind rt.Kind) *interp.Result {
+// run executes p under one leg of the differential matrix.
+func run(t *testing.T, p *ir.Prog, leg canary.Leg) *interp.Result {
 	t.Helper()
-	env := rt.New(rt.Config{Kind: kind, HeapBytes: 16 << 20})
-	ex, err := interp.Prepare(p, prof, env)
+	res, err := canary.Run(p, leg, 16<<20)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
-	return ex.Run()
-}
-
-var profiles = []struct {
-	prof instrument.Profile
-	kind rt.Kind
-}{
-	{instrument.Native, rt.GiantSan},
-	{instrument.GiantSanProfile, rt.GiantSan},
-	{instrument.CacheOnly, rt.GiantSan},
-	{instrument.ElimOnly, rt.GiantSan},
-	{instrument.ASanProfile, rt.ASan},
-	{instrument.ASanMinusProfile, rt.ASanMinus},
+	return res
 }
 
 // TestCleanProgramsNoFalsePositives: DESIGN.md's core differential
@@ -40,17 +29,17 @@ func TestCleanProgramsNoFalsePositives(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		p := Clean(seed)
 		var base uint64
-		for i, cfg := range profiles {
-			res := run(t, p, cfg.prof, cfg.kind)
+		for i, leg := range canary.Legs() {
+			res := run(t, p, leg)
 			if res.Errors.Total() != 0 {
 				t.Fatalf("seed %d: %s raised a false positive: %v",
-					seed, cfg.prof.Name, res.Errors.Errors[0])
+					seed, leg.Name(), res.Errors.Errors[0])
 			}
 			if i == 0 {
 				base = res.Checksum
 			} else if res.Checksum != base {
 				t.Fatalf("seed %d: %s changed semantics (checksum %#x vs %#x)",
-					seed, cfg.prof.Name, res.Checksum, base)
+					seed, leg.Name(), res.Checksum, base)
 			}
 		}
 	}
@@ -61,7 +50,7 @@ func TestCleanProgramsNoFalsePositives(t *testing.T) {
 // every optimization profile — elimination and caching must never
 // sacrifice detection.
 func TestBuggyProgramsDetected(t *testing.T) {
-	detectingProfiles := profiles[1:] // skip native
+	detectingLegs := canary.Legs()[1:] // skip native
 	planted := 0
 	for seed := int64(0); seed < 60; seed++ {
 		p, ok := Buggy(seed)
@@ -69,10 +58,10 @@ func TestBuggyProgramsDetected(t *testing.T) {
 			continue
 		}
 		planted++
-		for _, cfg := range detectingProfiles {
-			res := run(t, p, cfg.prof, cfg.kind)
+		for _, leg := range detectingLegs {
+			res := run(t, p, leg)
 			if res.Errors.Total() == 0 {
-				t.Fatalf("seed %d: %s missed the planted bug", seed, cfg.prof.Name)
+				t.Fatalf("seed %d: %s missed the planted bug", seed, leg.Name())
 			}
 		}
 	}
@@ -90,8 +79,8 @@ func TestGiantSanAgreesWithASanOnBuggyPrograms(t *testing.T) {
 		if !ok {
 			continue
 		}
-		g := run(t, p, instrument.GiantSanProfile, rt.GiantSan)
-		a := run(t, p, instrument.ASanProfile, rt.ASan)
+		g := run(t, p, canary.LegFor(rt.GiantSan))
+		a := run(t, p, canary.LegFor(rt.ASan))
 		if (g.Errors.Total() > 0) != (a.Errors.Total() > 0) {
 			t.Fatalf("seed %d: giantsan=%d errors, asan=%d errors",
 				seed, g.Errors.Total(), a.Errors.Total())
@@ -124,8 +113,8 @@ func TestShadowInvariantsAfterFuzzRuns(t *testing.T) {
 func TestGeneratorDeterminism(t *testing.T) {
 	p1 := Clean(42)
 	p2 := Clean(42)
-	r1 := run(t, p1, instrument.GiantSanProfile, rt.GiantSan)
-	r2 := run(t, p2, instrument.GiantSanProfile, rt.GiantSan)
+	r1 := run(t, p1, canary.LegFor(rt.GiantSan))
+	r2 := run(t, p2, canary.LegFor(rt.GiantSan))
 	if r1.Checksum != r2.Checksum || r1.Stats.Accesses != r2.Stats.Accesses {
 		t.Error("generator not deterministic")
 	}
@@ -136,7 +125,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 func TestGeneratorCoverage(t *testing.T) {
 	var agg interp.ExecStats
 	for seed := int64(0); seed < 30; seed++ {
-		res := run(t, Clean(seed), instrument.GiantSanProfile, rt.GiantSan)
+		res := run(t, Clean(seed), canary.LegFor(rt.GiantSan))
 		agg.Eliminated += res.Stats.Eliminated
 		agg.Cached += res.Stats.Cached
 		agg.Direct += res.Stats.Direct

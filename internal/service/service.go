@@ -694,30 +694,90 @@ func errorResponse(id uint64, req *Request, arena, msg string) *Response {
 	}
 }
 
-// runWorkload executes a workload session. Every exit path accounts for
-// the pooled arena explicitly: it is either Put back on the shelf or
-// Dropped (counted) — the deferred drop covers error returns and panics
-// alike, so no path can silently leak an arena out of the pool's books.
+// runWorkload executes a workload session: build, prepare and run the
+// kernel on the environment runSource acquires. LFP gets twice the
+// workload's heap, and a kernel Table 2 says LFP cannot run is refused
+// before any environment is built.
 func (e *Engine) runWorkload(id uint64, req *Request, arena *string) *Response {
-	cfg := sanConfigByLabel(req.Sanitizer)
 	w := workload.ByID(req.Workload)
-	heapBytes := req.heapBytes
+	if fail := bench.LFPFailure(w.ID); fail != "" && sanConfigByLabel(req.Sanitizer).IsLFP {
+		*arena = "unpooled"
+		return errorResponse(id, req, *arena, fmt.Sprintf("lfp cannot run %s (%s, Table 2)", w.ID, fail))
+	}
+	return e.runSource(id, req, arena, req.heapBytes, req.heapBytes*2,
+		func(env rt.Runtime, prof instrument.Profile) (*Response, *report.Log, error) {
+			ex, err := e.prepare(w.Build(req.Scale), prof, env)
+			if err != nil {
+				return nil, nil, untouchedError{fmt.Errorf("prepare: %v", err)}
+			}
+			start := time.Now()
+			res := ex.Run()
+			wall := time.Since(start)
+			return &Response{
+				VirtualNs: int64(bench.VirtualCost(res.Stats.Accesses, &res.San)),
+				WallNs:    wall.Nanoseconds(),
+				Checksum:  fmt.Sprintf("%#x", res.Checksum),
+				Stats:     res.San,
+			}, &res.Errors, nil
+		})
+}
 
+// runReplay executes a trace-replay session: decode the base64 trace,
+// then replay it on the environment runSource acquires, whose heap is
+// ReplayHeapBytes under every sanitizer.
+func (e *Engine) runReplay(id uint64, req *Request, arena *string) *Response {
+	data, err := base64.StdEncoding.DecodeString(req.TraceB64)
+	if err != nil {
+		return errorResponse(id, req, *arena, fmt.Sprintf("trace_b64: %v", err))
+	}
+	return e.runSource(id, req, arena, e.cfg.ReplayHeapBytes, e.cfg.ReplayHeapBytes,
+		func(env rt.Runtime, prof instrument.Profile) (*Response, *report.Log, error) {
+			start := time.Now()
+			res, err := trace.Replay(bytes.NewReader(data), env, prof.Anchor)
+			wall := time.Since(start)
+			if err != nil {
+				// A malformed trace leaves the arena's state valid (Replay
+				// applies well-formed prefix operations only), but it is
+				// dropped anyway: trace errors are rare and a fresh arena
+				// is cheap insurance.
+				return nil, nil, fmt.Errorf("replay: %v", err)
+			}
+			stats := env.San().Stats().Clone()
+			return &Response{
+				VirtualNs: int64(bench.VirtualCost(uint64(res.Events), stats)),
+				WallNs:    wall.Nanoseconds(),
+				Events:    res.Events,
+				Stats:     *stats,
+			}, &res.Errors, nil
+		})
+}
+
+// untouchedError marks a session failure raised before the program
+// touched its arena (a failed prepare): runSource shelves the arena, which
+// Put resets regardless, instead of paying a rebuild.
+type untouchedError struct{ error }
+
+// runSource is the one session pipeline under runWorkload and runReplay.
+// It acquires the execution environment for the request's sanitizer — a
+// fresh LFP runtime of lfpHeapBytes ("unpooled") or a pooled arena of
+// heapBytes ("warm" or "cold") — runs exec on it, and completes the
+// response exec returns with the session's identity and error reports.
+// Every exit path accounts for a pooled arena explicitly: Put back on the
+// shelf after a run or an untouchedError, Dropped (counted) after any
+// other error or a panic, so no path can silently leak an arena out of
+// the pool's books.
+func (e *Engine) runSource(id uint64, req *Request, arena *string, heapBytes, lfpHeapBytes uint64,
+	exec func(env rt.Runtime, prof instrument.Profile) (*Response, *report.Log, error)) *Response {
+	cfg := sanConfigByLabel(req.Sanitizer)
 	var (
-		env      rt.Runtime
-		pooled   *rt.Env
-		returned bool
+		env  rt.Runtime
+		keep bool
 	)
 	*arena = "unpooled"
 	if cfg.IsLFP {
-		if fail := bench.LFPFailure(w.ID); fail != "" {
-			return errorResponse(id, req, *arena,
-				fmt.Sprintf("lfp cannot run %s (%s, Table 2)", w.ID, fail))
-		}
-		env = lfp.New(lfp.Config{HeapBytes: heapBytes * 2, MaxClass: 1 << 20})
+		env = lfp.New(lfp.Config{HeapBytes: lfpHeapBytes, MaxClass: 1 << 20})
 	} else {
-		var warm bool
-		pooled, warm = e.arenas.Get(rt.Config{
+		pooled, warm := e.arenas.Get(rt.Config{
 			Kind: cfg.Kind, HeapBytes: heapBytes, Reference: cfg.Profile.Reference,
 		})
 		env = pooled
@@ -726,103 +786,22 @@ func (e *Engine) runWorkload(id uint64, req *Request, arena *string) *Response {
 			*arena = "warm"
 		}
 		defer func() {
-			if !returned {
+			if keep {
+				e.arenas.Put(pooled)
+			} else {
 				e.arenas.Drop(pooled)
 			}
 		}()
 	}
 
-	ex, err := e.prepare(w.Build(req.Scale), cfg.Profile, env)
+	resp, log, err := exec(env, cfg.Profile)
 	if err != nil {
-		// Prepare failed before the program touched the arena; Put resets
-		// it regardless, so shelve it for the next tenant instead of
-		// paying a rebuild.
-		if pooled != nil {
-			returned = true
-			e.arenas.Put(pooled)
-		}
-		return errorResponse(id, req, *arena, fmt.Sprintf("prepare: %v", err))
+		_, keep = err.(untouchedError)
+		return errorResponse(id, req, *arena, err.Error())
 	}
-	start := time.Now()
-	res := ex.Run()
-	wall := time.Since(start)
-
-	resp := &Response{
-		Session: id, Status: StatusOK, Sanitizer: req.Sanitizer,
-		Workload: w.ID, Arena: *arena,
-		VirtualNs:  int64(bench.VirtualCost(res.Stats.Accesses, &res.San)),
-		WallNs:     wall.Nanoseconds(),
-		DeadlineNs: req.DeadlineNs,
-		Checksum:   fmt.Sprintf("%#x", res.Checksum),
-		Stats:      res.San,
-	}
-	e.recordErrors(resp, &res.Errors)
-	if pooled != nil {
-		returned = true
-		e.arenas.Put(pooled)
-	}
-	return resp
-}
-
-// runReplay executes a trace-replay session, with the same explicit
-// return-or-drop arena accounting as runWorkload.
-func (e *Engine) runReplay(id uint64, req *Request, arena *string) *Response {
-	cfg := sanConfigByLabel(req.Sanitizer)
-	data, err := base64.StdEncoding.DecodeString(req.TraceB64)
-	if err != nil {
-		return errorResponse(id, req, *arena, fmt.Sprintf("trace_b64: %v", err))
-	}
-
-	var (
-		env      rt.Runtime
-		pooled   *rt.Env
-		returned bool
-	)
-	*arena = "unpooled"
-	if cfg.IsLFP {
-		env = lfp.New(lfp.Config{HeapBytes: e.cfg.ReplayHeapBytes, MaxClass: 1 << 20})
-	} else {
-		var warm bool
-		pooled, warm = e.arenas.Get(rt.Config{
-			Kind: cfg.Kind, HeapBytes: e.cfg.ReplayHeapBytes, Reference: cfg.Profile.Reference,
-		})
-		env = pooled
-		*arena = "cold"
-		if warm {
-			*arena = "warm"
-		}
-		defer func() {
-			if !returned {
-				e.arenas.Drop(pooled)
-			}
-		}()
-	}
-
-	start := time.Now()
-	res, err := trace.Replay(bytes.NewReader(data), env, cfg.Profile.Anchor)
-	wall := time.Since(start)
-	if err != nil {
-		// A malformed trace leaves the arena's state valid (Replay applies
-		// well-formed prefix operations only), but drop it anyway: trace
-		// errors are rare and a fresh arena is cheap insurance. The
-		// deferred drop does it, and the pool counts it.
-		return errorResponse(id, req, *arena, fmt.Sprintf("replay: %v", err))
-	}
-
-	stats := env.San().Stats().Clone()
-	resp := &Response{
-		Session: id, Status: StatusOK, Sanitizer: req.Sanitizer,
-		Arena:      *arena,
-		VirtualNs:  int64(bench.VirtualCost(uint64(res.Events), stats)),
-		WallNs:     wall.Nanoseconds(),
-		DeadlineNs: req.DeadlineNs,
-		Events:     res.Events,
-		Stats:      *stats,
-	}
-	e.recordErrors(resp, &res.Errors)
-	if pooled != nil {
-		returned = true
-		e.arenas.Put(pooled)
-	}
+	keep = true
+	resp.Session, resp.Status, resp.Sanitizer = id, StatusOK, req.Sanitizer
+	resp.Workload, resp.Arena, resp.DeadlineNs = req.Workload, *arena, req.DeadlineNs
+	e.recordErrors(resp, log)
 	return resp
 }

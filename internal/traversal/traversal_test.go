@@ -1,9 +1,6 @@
 package traversal
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestChecksumsAgreeAcrossModes(t *testing.T) {
 	for _, p := range Patterns() {
@@ -40,7 +37,8 @@ func TestNoErrorsOnCleanTraversal(t *testing.T) {
 
 // TestMetadataLoadAsymmetry verifies the §5.4 mechanism directly on the
 // counters: forward GiantSan loads metadata O(log n) times; reverse loads
-// ≥ 2 per access (re-anchored cache); ASan loads exactly once per access.
+// exactly 2 per access, refilling the re-anchored cache on every access;
+// ASan loads exactly once per access in either direction.
 func TestMetadataLoadAsymmetry(t *testing.T) {
 	const buf = 16384
 	elems := uint64(buf / 4)
@@ -53,14 +51,16 @@ func TestMetadataLoadAsymmetry(t *testing.T) {
 
 	rv, _ := New(GiantSan, Reverse, buf)
 	rv.Traverse()
-	if loads := rv.Stats().ShadowLoads; loads < elems {
-		t.Errorf("reverse GiantSan loads = %d, want ≥ one per access (%d)", loads, elems)
+	if loads, refills := rv.Stats().ShadowLoads, rv.Stats().CacheRefills; loads != 2*elems || refills != elems {
+		t.Errorf("reverse GiantSan loads = %d, refills = %d, want %d and %d", loads, refills, 2*elems, elems)
 	}
 
-	as, _ := New(ASan, Forward, buf)
-	as.Traverse()
-	if loads := as.Stats().ShadowLoads; loads != elems {
-		t.Errorf("ASan loads = %d, want exactly %d", loads, elems)
+	for _, p := range []Pattern{Forward, Reverse} {
+		as, _ := New(ASan, p, buf)
+		as.Traverse()
+		if loads := as.Stats().ShadowLoads; loads != elems {
+			t.Errorf("%v ASan loads = %d, want exactly %d", p, loads, elems)
+		}
 	}
 
 	rd, _ := New(GiantSan, Random, buf)
@@ -93,38 +93,27 @@ func TestMitigatedReverseLoadsFlat(t *testing.T) {
 	}
 }
 
-// TestFigure11Shape measures wall time for the three patterns at 16KB and
-// checks the ordering the paper reports: GiantSan beats ASan forward and
-// random; ASan beats GiantSan in reverse. Uses generous repetition and a
-// coarse margin to stay robust on shared CI hardware.
+// TestFigure11Shape checks the ordering Figure 11 reports on the
+// deterministic counters behind it: at 16KB GiantSan loads less metadata
+// than ASan forward and random, and more in reverse. Wall time is not
+// asserted, since tier-1 must not depend on host noise; `giantbench -exp
+// fig11 -clock wall` shows the measured ordering.
 func TestFigure11Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
 	const buf = 16384
-	const reps = 300
-	measure := func(m Mode, p Pattern) time.Duration {
+	loads := func(m Mode, p Pattern) uint64 {
 		h, err := New(m, p, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Traverse() // warm up
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			h.Traverse()
-		}
-		return time.Since(start)
+		h.Traverse()
+		return h.Stats().ShadowLoads
 	}
 	for _, p := range []Pattern{Forward, Random} {
-		g := measure(GiantSan, p)
-		a := measure(ASan, p)
-		if float64(g) > 1.1*float64(a) {
-			t.Errorf("%v: GiantSan %v vs ASan %v — GiantSan should not be slower", p, g, a)
+		if g, a := loads(GiantSan, p), loads(ASan, p); g >= a {
+			t.Errorf("%v: GiantSan %d shadow loads vs ASan %d — GiantSan should load less", p, g, a)
 		}
 	}
-	g := measure(GiantSan, Reverse)
-	a := measure(ASan, Reverse)
-	if float64(g) < float64(a) {
-		t.Logf("reverse: GiantSan %v vs ASan %v (paper expects GiantSan slower; timing noise tolerated)", g, a)
+	if g, a := loads(GiantSan, Reverse), loads(ASan, Reverse); g <= a {
+		t.Errorf("reverse: GiantSan %d shadow loads vs ASan %d — GiantSan should load more", g, a)
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"giantsan/internal/canary"
 	"giantsan/internal/instrument"
 	"giantsan/internal/interp"
 	"giantsan/internal/rt"
@@ -44,29 +45,17 @@ func TestAllWorkloadsRunCleanEverySanitizer(t *testing.T) {
 			t.Parallel()
 			prog := w.Build(1)
 			var checksums []uint64
-			for _, cfg := range []struct {
-				prof instrument.Profile
-				kind rt.Kind
-			}{
-				{instrument.Native, rt.GiantSan},
-				{instrument.GiantSanProfile, rt.GiantSan},
-				{instrument.CacheOnly, rt.GiantSan},
-				{instrument.ElimOnly, rt.GiantSan},
-				{instrument.ASanProfile, rt.ASan},
-				{instrument.ASanMinusProfile, rt.ASanMinus},
-			} {
-				env := rt.New(rt.Config{Kind: cfg.kind, HeapBytes: w.HeapBytes})
-				ex, err := interp.Prepare(prog, cfg.prof, env)
+			for _, leg := range canary.Legs() {
+				res, err := canary.Run(prog, leg, w.HeapBytes)
 				if err != nil {
-					t.Fatalf("%s: %v", cfg.prof.Name, err)
+					t.Fatalf("%s: %v", leg.Name(), err)
 				}
-				res := ex.Run()
 				if res.Errors.Total() != 0 {
 					t.Fatalf("%s reported %d errors, first: %v",
-						cfg.prof.Name, res.Errors.Total(), res.Errors.Errors[0])
+						leg.Name(), res.Errors.Total(), res.Errors.Errors[0])
 				}
 				if res.Stats.Accesses == 0 {
-					t.Fatalf("%s executed no accesses", cfg.prof.Name)
+					t.Fatalf("%s executed no accesses", leg.Name())
 				}
 				checksums = append(checksums, res.Checksum)
 			}
