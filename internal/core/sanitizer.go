@@ -223,28 +223,40 @@ func (g *Sanitizer) Poison(base vmem.Addr, size uint64, kind san.PoisonKind) {
 	atomic.AddUint64(&g.stats.ShadowStores, uint64(n))
 }
 
-// fault builds the error report for a failed check over [l, r). The error
-// path re-walks the shadow byte by byte to find the first offending byte —
-// errors are rare, so precision beats speed here.
+// fault builds the error report for a failed check over [l, r): the
+// first byte the walk finds unaddressable, and the reason its segment
+// gives. Errors are rare, so the walk favours exactness over the O(1)
+// check, but it still reads shadow the way the encoding is laid out — one
+// segment at a time, never one byte at a time: a folded segment is
+// skipped whole, a k-partial one fails at its byte k (or at l, when l
+// starts past it), and any other code fails at the first byte visited.
+// The shadow reads are uncounted, so a report moves no Stats besides
+// Errors. Segment-wide Contains is exact because spaces are 8-aligned.
 func (g *Sanitizer) fault(l, r vmem.Addr, t report.AccessType) *report.Error {
 	g.stats.Errors++
-	for a := l; a < r; a++ {
+	for a := l; a < r; {
 		if !g.sh.Contains(a) {
 			return &report.Error{Kind: report.WildAccess, Access: t, Addr: a, Size: r - l, Detector: g.Name()}
 		}
+		seg := a &^ 7
 		code := g.sh.Load(a)
-		if code > CodeMaxFolded {
-			if IsPartial(code) {
-				if int(a&7) < PartialK(code) {
-					continue // byte addressable within the partial prefix
-				}
+		switch {
+		case code <= CodeMaxFolded:
+		case IsPartial(code):
+			if bad := max(a, seg+vmem.Addr(PartialK(code))); bad < r {
+				return &report.Error{Kind: errorKind(code), Access: t, Addr: bad, Size: r - l, Detector: g.Name()}
 			}
+		default:
 			return &report.Error{Kind: errorKind(code), Access: t, Addr: a, Size: r - l, Detector: g.Name()}
 		}
+		if seg+8 < a {
+			break // the segment ends the address space
+		}
+		a = seg + 8
 	}
-	// The fast/slow check rejected a region the byte walk finds clean.
-	// That cannot happen if the encoding invariants hold; report it as a
-	// wild access rather than hiding it.
+	// The fast/slow check rejected a region the walk finds clean. That
+	// cannot happen if the encoding invariants hold; report it as a wild
+	// access rather than hiding it.
 	return &report.Error{Kind: report.WildAccess, Access: t, Addr: l, Size: r - l, Detector: g.Name(), Context: "check/encoding disagreement"}
 }
 

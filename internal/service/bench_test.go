@@ -1,8 +1,13 @@
 package service
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"giantsan/internal/progen"
 	"giantsan/internal/report"
 	"giantsan/internal/rt"
 	"giantsan/internal/vmem"
@@ -78,4 +83,53 @@ func BenchmarkServiceSession(b *testing.B) {
 	b.StopTimer()
 	st := e.ArenaStats()
 	b.ReportMetric(100*float64(st.Hits)/float64(st.Hits+st.Misses), "pool-hit-%")
+}
+
+// BenchmarkReplaySession measures one small trace-replay session through
+// the HTTP handler, transport aside: JSON request decode, base64 decode,
+// queue hand-off, trace replay on a warm arena and response encode. The
+// traces are recorded progen programs, alternately clean and with one
+// planted overflow, like sessionbench's replay-small mix; each response
+// is checked for its replayed events and its verdict.
+//
+//	go test ./internal/service -run '^$' -bench ReplaySession -benchmem
+func BenchmarkReplaySession(b *testing.B) {
+	type session struct {
+		body  string
+		buggy bool
+	}
+	var sessions []session
+	for seed := int64(1); len(sessions) < 16; seed++ {
+		p, buggy := progen.Clean(seed), len(sessions)%2 == 1
+		if buggy {
+			var planted bool
+			if p, planted = progen.Buggy(seed); !planted {
+				continue
+			}
+		}
+		body := `{"trace_b64":"` + recordProg(b, p, 1<<20) + `","sanitizer":"giantsan"}`
+		sessions = append(sessions, session{body, buggy})
+	}
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	srv := NewServer(e)
+	run := func(s session) {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sessions", strings.NewReader(s.body)))
+		var resp Response
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Status != StatusOK {
+			b.Fatalf("session: %d %s", w.Code, w.Body.Bytes())
+		}
+		if resp.Events == 0 || (resp.ErrorTotal > 0) != s.buggy {
+			b.Fatalf("session verdict: %d events, %d errors, buggy=%v", resp.Events, resp.ErrorTotal, s.buggy)
+		}
+	}
+	for _, s := range sessions { // warm the arena pool and the buffers
+		run(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(sessions[i%len(sessions)])
+	}
 }

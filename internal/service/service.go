@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -733,7 +732,7 @@ func (e *Engine) runReplay(id uint64, req *Request, arena *string) *Response {
 	return e.runSource(id, req, arena, e.cfg.ReplayHeapBytes, e.cfg.ReplayHeapBytes,
 		func(env rt.Runtime, prof instrument.Profile) (*Response, *report.Log, error) {
 			start := time.Now()
-			res, err := trace.Replay(bytes.NewReader(data), env, prof.Anchor)
+			res, err := trace.ReplayBytes(data, env, prof.Anchor)
 			wall := time.Since(start)
 			if err != nil {
 				// A malformed trace leaves the arena's state valid (Replay

@@ -12,6 +12,7 @@ import (
 
 	"giantsan/internal/instrument"
 	"giantsan/internal/interp"
+	"giantsan/internal/ir"
 	"giantsan/internal/rt"
 	"giantsan/internal/san"
 	"giantsan/internal/trace"
@@ -27,11 +28,18 @@ const stressWorkload = "523.xalancbmk_r"
 func recordTrace(t testing.TB, id string) string {
 	t.Helper()
 	w := workload.ByID(id)
+	return recordProg(t, w.Build(1), w.HeapBytes)
+}
+
+// recordProg records one GiantSan run of p on a heapBytes heap and
+// returns the trace base64-encoded.
+func recordProg(t testing.TB, p *ir.Prog, heapBytes uint64) string {
+	t.Helper()
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
-	inner := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: w.HeapBytes})
+	inner := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: heapBytes})
 	rec := trace.NewRecorder(inner, tw)
-	ex, err := interp.Prepare(w.Build(1), instrument.GiantSanProfile, rec)
+	ex, err := interp.Prepare(p, instrument.GiantSanProfile, rec)
 	if err != nil {
 		t.Fatalf("prepare recorder: %v", err)
 	}

@@ -109,3 +109,23 @@ func TestReplayEventErrorsCarryIndex(t *testing.T) {
 		t.Errorf("unset-register error = %v", err)
 	}
 }
+
+// TestDecodeAccessTypeByte: only an accessType byte of 1 decodes as a
+// write; 0 and every other value decode as a read.
+func TestDecodeAccessTypeByte(t *testing.T) {
+	for _, c := range []struct {
+		b     byte
+		write bool
+	}{{0, false}, {1, true}, {2, false}, {0xFF, false}} {
+		acc, _ := Encode([]Event{{Op: OpAccess, Reg: 1, Off: -4, Width: 8}})
+		rng, _ := Encode([]Event{{Op: OpRange, Reg: 1, Off: 4, Size: 9}})
+		acc[len(acc)-1], rng[len(rng)-1] = c.b, c.b
+		for _, data := range [][]byte{acc, rng} {
+			ev, err := NewReader(bytes.NewReader(data)).Next()
+			if err != nil || ev.Write != c.write {
+				t.Errorf("op %d with accessType byte %d: write=%v, err %v; want write=%v",
+					ev.Op, c.b, ev.Write, err, c.write)
+			}
+		}
+	}
+}

@@ -58,11 +58,68 @@ type Event struct {
 	Write bool
 }
 
+// operandLen is the fixed operand width in bytes of each known opcode;
+// its length also bounds the known opcodes for the Writer and Reader.
+var operandLen = [...]int{
+	OpMalloc: 4 + 8,         // reg, size
+	OpFree:   4,             // reg
+	OpAccess: 4 + 8 + 1 + 1, // reg, off, width, accessType
+	OpRange:  4 + 8 + 8 + 1, // reg, off, len, accessType
+	OpPush:   0,
+	OpPop:    0,
+	OpAlloca: 4 + 8, // reg, size
+}
+
+// maxOperandLen is the widest operand block (OpRange's).
+const maxOperandLen = 4 + 8 + 8 + 1
+
+// known reports whether op is a defined opcode.
+func (op Op) known() bool { return op >= OpMalloc && int(op) < len(operandLen) }
+
+// decodeOperands fills ev's operands from b, which holds exactly
+// operandLen[ev.Op] bytes.
+func decodeOperands(ev *Event, b []byte) {
+	le := binary.LittleEndian
+	switch ev.Op {
+	case OpMalloc, OpAlloca:
+		ev.Reg, ev.Size = le.Uint32(b), le.Uint64(b[4:])
+	case OpFree:
+		ev.Reg = le.Uint32(b)
+	case OpAccess:
+		ev.Reg, ev.Off = le.Uint32(b), int64(le.Uint64(b[4:]))
+		ev.Width, ev.Write = b[12], b[13] == 1
+	case OpRange:
+		ev.Reg, ev.Off, ev.Size = le.Uint32(b), int64(le.Uint64(b[4:])), le.Uint64(b[12:])
+		ev.Write = b[20] == 1
+	}
+}
+
+// appendEvent appends ev's encoding, opcode byte first, to b. ev.Op must
+// be known.
+func appendEvent(b []byte, ev Event) []byte {
+	le := binary.LittleEndian
+	b = append(b, byte(ev.Op))
+	switch ev.Op {
+	case OpMalloc, OpAlloca:
+		b = le.AppendUint64(le.AppendUint32(b, ev.Reg), ev.Size)
+	case OpFree:
+		b = le.AppendUint32(b, ev.Reg)
+	case OpAccess:
+		b = le.AppendUint64(le.AppendUint32(b, ev.Reg), uint64(ev.Off))
+		b = append(b, ev.Width, b2u(ev.Write))
+	case OpRange:
+		b = le.AppendUint64(le.AppendUint32(b, ev.Reg), uint64(ev.Off))
+		b = append(le.AppendUint64(b, ev.Size), b2u(ev.Write))
+	}
+	return b
+}
+
 // Writer serializes events.
 type Writer struct {
 	w       *bufio.Writer
 	nextReg uint32
 	started bool
+	buf     [1 + maxOperandLen]byte // one encoded event
 }
 
 // NewWriter returns a Writer over w.
@@ -86,73 +143,52 @@ func (tw *Writer) NewReg() uint32 {
 	return r
 }
 
-func (tw *Writer) emit(op Op, fields ...any) error {
-	if err := tw.header(); err != nil {
-		return err
-	}
-	if err := tw.w.WriteByte(byte(op)); err != nil {
-		return err
-	}
-	for _, f := range fields {
-		if err := binary.Write(tw.w, binary.LittleEndian, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Emit serializes one already-decoded event. It is the re-encoding half
 // of the shrinker round trip: ReadAll a trace into events, drop some,
 // Emit the survivors. Registers are written as-is (Emit does not consult
 // NewReg), so the caller owns register coherence — a subsequence of a
 // valid trace keeps the original register numbers.
 func (tw *Writer) Emit(ev Event) error {
-	switch ev.Op {
-	case OpMalloc, OpAlloca:
-		return tw.emit(ev.Op, ev.Reg, ev.Size)
-	case OpFree:
-		return tw.emit(ev.Op, ev.Reg)
-	case OpAccess:
-		return tw.emit(ev.Op, ev.Reg, ev.Off, ev.Width, b2u(ev.Write))
-	case OpRange:
-		return tw.emit(ev.Op, ev.Reg, ev.Off, ev.Size, b2u(ev.Write))
-	case OpPush, OpPop:
-		return tw.emit(ev.Op)
-	default:
+	if !ev.Op.known() {
 		return fmt.Errorf("trace: cannot encode unknown opcode %d", ev.Op)
 	}
+	if err := tw.header(); err != nil {
+		return err
+	}
+	_, err := tw.w.Write(appendEvent(tw.buf[:0], ev))
+	return err
 }
 
 // Malloc records an allocation into a fresh register and returns it.
 func (tw *Writer) Malloc(size uint64) (uint32, error) {
 	reg := tw.NewReg()
-	return reg, tw.emit(OpMalloc, reg, size)
+	return reg, tw.Emit(Event{Op: OpMalloc, Reg: reg, Size: size})
 }
 
 // Alloca records a stack allocation into a fresh register.
 func (tw *Writer) Alloca(size uint64) (uint32, error) {
 	reg := tw.NewReg()
-	return reg, tw.emit(OpAlloca, reg, size)
+	return reg, tw.Emit(Event{Op: OpAlloca, Reg: reg, Size: size})
 }
 
 // Free records a free of reg.
-func (tw *Writer) Free(reg uint32) error { return tw.emit(OpFree, reg) }
+func (tw *Writer) Free(reg uint32) error { return tw.Emit(Event{Op: OpFree, Reg: reg}) }
 
 // Access records a width-byte access at reg+off.
 func (tw *Writer) Access(reg uint32, off int64, width uint8, write bool) error {
-	return tw.emit(OpAccess, reg, off, width, b2u(write))
+	return tw.Emit(Event{Op: OpAccess, Reg: reg, Off: off, Width: width, Write: write})
 }
 
 // Range records a bulk operation over [reg+off, reg+off+n).
 func (tw *Writer) Range(reg uint32, off int64, n uint64, write bool) error {
-	return tw.emit(OpRange, reg, off, n, b2u(write))
+	return tw.Emit(Event{Op: OpRange, Reg: reg, Off: off, Size: n, Write: write})
 }
 
 // Push records a frame push.
-func (tw *Writer) Push() error { return tw.emit(OpPush) }
+func (tw *Writer) Push() error { return tw.Emit(Event{Op: OpPush}) }
 
 // Pop records a frame pop.
-func (tw *Writer) Pop() error { return tw.emit(OpPop) }
+func (tw *Writer) Pop() error { return tw.Emit(Event{Op: OpPop}) }
 
 // Flush flushes buffered output.
 func (tw *Writer) Flush() error {
@@ -176,9 +212,11 @@ var ErrBadMagic = errors.New("trace: bad magic")
 // the ordinal of the event being decoded, and stamps both into every
 // decode error — a truncated or corrupted stream names the exact spot,
 // which is what makes shrinker validity checks and service replay
-// rejections debuggable instead of opaque.
+// rejections debuggable instead of opaque. Decoding allocates nothing:
+// operands land in a buffer the Reader owns.
 type Reader struct {
-	r       *bufio.Reader
+	r       io.Reader
+	buf     [maxOperandLen]byte
 	started bool
 	// off is the number of bytes fully consumed from the stream; idx the
 	// number of events fully decoded. During Next they locate the event
@@ -196,11 +234,13 @@ func NewReader(r io.Reader) *Reader {
 // Offset returns the number of bytes consumed so far.
 func (tr *Reader) Offset() int64 { return tr.off }
 
-// readFull fills buf, charging the consumed bytes to the offset.
-func (tr *Reader) readFull(buf []byte) error {
-	n, err := io.ReadFull(tr.r, buf)
-	tr.off += int64(n)
-	return err
+// read consumes the next n bytes of the stream into the Reader's buffer,
+// charging them to the offset, and fails like io.ReadFull. The returned
+// slice is valid until the next read.
+func (tr *Reader) read(n int) ([]byte, error) {
+	k, err := io.ReadFull(tr.r, tr.buf[:n])
+	tr.off += int64(k)
+	return tr.buf[:n], err
 }
 
 // decodeErr annotates a mid-event failure with the event's 1-based
@@ -213,88 +253,37 @@ func (tr *Reader) decodeErr(start int64, format string, args ...any) error {
 // Next decodes one event; io.EOF ends the stream.
 func (tr *Reader) Next() (Event, error) {
 	if !tr.started {
-		var m [4]byte
-		if err := tr.readFull(m[:]); err != nil {
+		m, err := tr.read(len(magic))
+		if err != nil {
 			if err == io.ErrUnexpectedEOF || (err == io.EOF && tr.off > 0) {
 				return Event{}, fmt.Errorf("trace: truncated magic (%d of %d header bytes): %w",
 					tr.off, len(magic), io.ErrUnexpectedEOF)
 			}
 			return Event{}, err
 		}
-		if m != magic {
-			return Event{}, fmt.Errorf("trace: header %q at byte offset 0: %w", m[:], ErrBadMagic)
+		if [4]byte(m) != magic {
+			return Event{}, fmt.Errorf("trace: header %q at byte offset 0: %w", m, ErrBadMagic)
 		}
 		tr.started = true
 	}
 	start := tr.off
-	var opbuf [1]byte
-	if err := tr.readFull(opbuf[:]); err != nil {
+	opb, err := tr.read(1)
+	if err != nil {
 		return Event{}, err // io.EOF here is the clean end of stream
 	}
-	opb := opbuf[0]
-	ev := Event{Op: Op(opb)}
-	read := func(fields ...any) error {
-		for _, f := range fields {
-			var buf []byte
-			switch v := f.(type) {
-			case *uint8:
-				var b [1]byte
-				if err := tr.readFull(b[:]); err != nil {
-					return err
-				}
-				*v = b[0]
-				continue
-			case *uint32:
-				buf = make([]byte, 4)
-				if err := tr.readFull(buf); err != nil {
-					return err
-				}
-				*v = binary.LittleEndian.Uint32(buf)
-				continue
-			case *uint64:
-				buf = make([]byte, 8)
-				if err := tr.readFull(buf); err != nil {
-					return err
-				}
-				*v = binary.LittleEndian.Uint64(buf)
-				continue
-			case *int64:
-				buf = make([]byte, 8)
-				if err := tr.readFull(buf); err != nil {
-					return err
-				}
-				*v = int64(binary.LittleEndian.Uint64(buf))
-				continue
-			default:
-				return fmt.Errorf("unsupported operand type %T", f)
-			}
-		}
-		return nil
+	ev := Event{Op: Op(opb[0])}
+	if !ev.Op.known() {
+		return Event{}, tr.decodeErr(start, "unknown opcode %d", ev.Op)
 	}
-	var err error
-	var w uint8
-	switch ev.Op {
-	case OpMalloc, OpAlloca:
-		err = read(&ev.Reg, &ev.Size)
-	case OpFree:
-		err = read(&ev.Reg)
-	case OpAccess:
-		err = read(&ev.Reg, &ev.Off, &ev.Width, &w)
-		ev.Write = w == 1
-	case OpRange:
-		err = read(&ev.Reg, &ev.Off, &ev.Size, &w)
-		ev.Write = w == 1
-	case OpPush, OpPop:
-	default:
-		return Event{}, tr.decodeErr(start, "unknown opcode %d", opb)
-	}
+	operands, err := tr.read(operandLen[ev.Op])
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return Event{}, tr.decodeErr(start, "opcode %d truncated after %d bytes: %w",
-				opb, tr.off-start, io.ErrUnexpectedEOF)
+				ev.Op, tr.off-start, io.ErrUnexpectedEOF)
 		}
-		return Event{}, tr.decodeErr(start, "opcode %d: %w", opb, err)
+		return Event{}, tr.decodeErr(start, "opcode %d: %w", ev.Op, err)
 	}
+	decodeOperands(&ev, operands)
 	tr.idx++
 	return ev, nil
 }
@@ -421,14 +410,24 @@ func (rp *replayer) apply(ev Event) error {
 // file, accesses are checked with the anchored discipline when anchored
 // is true (GiantSan, LFP) and bare otherwise (ASan). Trace-level problems
 // (unknown register, failed malloc) are returned as an error; memory
-// violations land in the result log.
+// violations land in the result log. Decoding streams: events before a
+// malformed one are applied before its decode error is returned.
 func Replay(r io.Reader, run rt.Runtime, anchored bool) (*ReplayResult, error) {
-	tr := NewReader(r)
+	return replay(NewReader(r), run, anchored)
+}
+
+// ReplayBytes is Replay over an in-memory trace, read without the
+// buffering NewReader adds: already in memory, it needs no copy.
+func ReplayBytes(data []byte, run rt.Runtime, anchored bool) (*ReplayResult, error) {
+	return replay(&Reader{r: bytes.NewReader(data)}, run, anchored)
+}
+
+func replay(tr *Reader, run rt.Runtime, anchored bool) (*ReplayResult, error) {
 	rp := newReplayer(run, anchored)
 	for {
 		ev, err := tr.Next()
 		if err == io.EOF {
-			break
+			return rp.res, nil
 		}
 		if err != nil {
 			return nil, err
@@ -437,7 +436,6 @@ func Replay(r io.Reader, run rt.Runtime, anchored bool) (*ReplayResult, error) {
 			return nil, err
 		}
 	}
-	return rp.res, nil
 }
 
 // ReplayEvents replays an already-decoded event list. It is the
