@@ -82,7 +82,7 @@ func BenchmarkAblation(b *testing.B) {
 
 func BenchmarkFigure10Classify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig10(1)
+		rows, err := bench.Fig10(1, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

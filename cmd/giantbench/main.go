@@ -1,80 +1,51 @@
-// Command giantbench regenerates the paper's performance tables and
-// figures: Table 2 (with the ablation columns), Figure 10 and Figure 11.
+// Command giantbench regenerates the paper's evaluation: every table,
+// figure and committed BENCH_*.json artifact is one row of its experiment
+// registry.
 //
 // Usage:
 //
-//	giantbench -exp table2 [-scale N] [-reps N]
-//	giantbench -exp ablation
-//	giantbench -exp fig10
-//	giantbench -exp fig11
-//	giantbench -exp hotpath [-hotpath-out BENCH_hotpath.json]
-//	giantbench -exp metapath [-metapath-out BENCH_metapath.json]
-//	giantbench -exp tiers [-tiers-out BENCH_tiers.json] [-tiers-check]
-//	giantbench -exp shards [-shards-out BENCH_shards.json] [-shards-check]
-//	giantbench -exp federation [-federation-out BENCH_federation.json] [-federation-check]
-//	giantbench -exp canary [-canary-programs N] [-canary-plant NAME]
-//	giantbench -exp fuzz [-fuzz-out BENCH_fuzz.json] [-fuzz-check]
+//	giantbench -exp NAME [-scale N] [-reps N] [-json] [-check] [engine flags]
 //	giantbench -exp all
 //
-// -hotpath is shorthand for -exp hotpath: it microbenchmarks the checker
-// hot paths (ns/check and shadow-loads/check per sanitizer × access shape,
-// including the reference-path rows the speedup is measured against) and
-// writes BENCH_hotpath.json.
+// The rows, in registry order:
 //
-// -metapath is shorthand for -exp metapath: the write-side twin. It
-// microbenchmarks the allocation metadata path (ns per allocate/release
-// operation and shadow-stores/op per sanitizer × size class × churn
-// pattern, against the reference poisoner path) and writes
-// BENCH_metapath.json. -metapath-min F fails the run when a GiantSan
-// churn's geomean fast-vs-reference speedup lands below F (the CI sanity
-// gate).
+//	table2      Table 2: runtime overhead vs native (-scale, -reps)
+//	ablation    Table 2 with the CacheOnly / EliminationOnly columns
+//	fig10       Figure 10: check classification per kernel (-scale)
+//	redzone     §4.4.1 redzone time/footprint trade-off (-scale)
+//	quarantine  §5.4 quarantine-bypass window
+//	hotpath     checker hot paths: ns/check, shadow-loads/check → BENCH_hotpath.json
+//	metapath    allocation metadata path: ns/op, shadow-stores/op → BENCH_metapath.json
+//	tiers       service tier ladder: cost vs detection → BENCH_tiers.json
+//	shards      in-process scale-out and arena residency → BENCH_shards.json
+//	federation  multi-process scale-out and failover → BENCH_federation.json
+//	fuzz        guided vs blind fuzzing, executions to detection → BENCH_fuzz.json
+//	fig11       Figure 11: traversal study with the §5.4 mitigation (-reps)
+//	table3      Table 3: Juliet-like detection suite
+//	table4      Table 4: Linux Flaw Project CVEs
+//	table5      Table 5: Magma redzone study
+//	canary      differential validation campaign (fast vs reference vs oracle)
 //
-// -exp tiers measures the service's sanitization-tier ladder (full →
-// elim → cheap → sampled): virtual-clock ns/session over a workload mix
-// against planted-bug detection rate on the progen corpus, written to
-// BENCH_tiers.json — the cost/coverage curve behind load-driven tier
-// downgrade. -tiers-check fails the run unless cost is strictly monotone
-// down the ladder and detection never increases (the CI gate).
+// -exp all runs every row but canary, in that order; tables 3-5 come
+// last, after fig11. The canary is a validation suite, not a paper table:
+// it runs only when named, and any discrepancy between its legs fails the
+// run (exit 1) with or without -check.
 //
-// -exp shards measures the service's horizontal scale-out: a tenant
-// batch routed through real consistent-hash ShardSets at increasing
-// shard counts, billed on the virtual clock (makespan = the slowest
-// shard's summed bill), plus the forked-arena residency table (resident
-// shadow bytes vs pages dirtied), written to BENCH_shards.json. The run
-// itself fails if any session's outcome differs between shard counts —
-// the sharding determinism contract. -shards-check additionally fails
-// the run unless the highest shard count reaches -shards-min speedup
-// and residency is exactly proportional to dirtied pages (the CI gate).
+// Each row prints its caption and table, or with -json its report as
+// indented JSON. A row with an artifact also writes that report to
+// BENCH_<name>.json in the working directory. -check enforces the gates
+// the CI applies, at floors that are constants of the measuring packages:
 //
-// -exp federation measures the multi-process scale-out one level above
-// shards: the same tenant batch routed by a real federation front-end
-// (RemoteBackend) across 1/2/4 live backend servers, each itself a 2-way
-// ShardSet, billed on the virtual clock (makespan = the slowest
-// backend×shard lane's summed bill), plus the proxy hop's measured
-// wall-clock overhead and a kill-one-backend failover table, written to
-// BENCH_federation.json. The run fails if any session's outcome differs
-// between backend counts. -federation-check additionally fails the run
-// unless 2 backends reach -federation-min2 and 4 reach -federation-min4
-// speedup, and failover loses zero sessions while remapping only the
-// killed backend's tenants (the CI gate).
+//	metapath    every GiantSan churn's fast-vs-reference speedup ≥ metapath.MinSpeedup (1.0)
+//	tiers       cost strictly monotone down the ladder, detection never increasing
+//	shards      highest shard count ≥ shards.MinSpeedup (3.0), residency ∝ dirtied pages
+//	federation  ≥ federation.MinSpeedup2 (1.8) at 2 and MinSpeedup4 (3.0) at 4
+//	            backends, lossless ~1/N failover
+//	fuzz        guided detects every class, geomean ≥ fuzzbench.MinGeomean (1.5)
 //
-// -exp canary runs the differential validation campaign (the offline
-// twin of the service's always-on canary): N generator-wheel programs,
-// each recorded and triple-replayed under the fast path, the reference
-// path and the byte-granular oracle. Per-seed runs are pure and merged
-// in seed order, so under the virtual clock the report is byte-identical
-// at any -parallel level. With no -canary-plant, any discrepancy fails
-// the run (exit 1) — that is the CI determinism/agreement gate. It is
-// not part of -exp all; ask for it by name.
-//
-// -exp fuzz runs the sanitizer-guided fuzzing benchmark: several guided
-// and blind greybox campaigns (internal/fuzz) with matching seeds and
-// budgets, comparing executions-to-detection per bug class. The report —
-// per-class blind/guided ratios and their geometric mean, all on the
-// virtual clock and byte-identical at any -parallel level — is written
-// to BENCH_fuzz.json. -fuzz-check fails the run unless the guided
-// engine detects every class in every campaign and the geomean ratio
-// reaches -fuzz-min (the CI gate).
+// The suites' sizes (hot-path passes, metadata ops, tier seeds, tenants,
+// fuzz campaigns and budget, canary programs) are their packages'
+// defaults. An unknown -exp name exits 2 and lists the rows.
 //
 // Engine flags:
 //
@@ -85,7 +56,7 @@
 //	                     identical at any -parallel level
 //	-timeout D           per-item guard (e.g. 2m): a hung kernel fails
 //	                     the run instead of wedging it (default off)
-//	-clock virtual|wall  timing source for table2/ablation/fig11.
+//	-clock virtual|wall  timing source for table2/ablation/fig11/canary.
 //	                     "virtual" (the default) bills each run's counted
 //	                     work at fixed latencies, making timing tables
 //	                     byte-identical across runs, machines and
@@ -99,7 +70,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"giantsan/internal/bench"
@@ -108,373 +82,308 @@ import (
 	"giantsan/internal/bench/hotpath"
 	"giantsan/internal/bench/metapath"
 	"giantsan/internal/bench/shards"
+	"giantsan/internal/flaws"
+	"giantsan/internal/juliet"
+	"giantsan/internal/magma"
 	"giantsan/internal/parallel"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment: table2, ablation, fig10, fig11, redzone, quarantine, hotpath, metapath, tiers, shards, federation, canary, fuzz, all")
-	scale := flag.Int("scale", 1, "workload scale factor")
-	reps := flag.Int("reps", 3, "repetitions per measurement (median)")
-	hotpathFlag := flag.Bool("hotpath", false, "shorthand for -exp hotpath")
-	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "output path for the hotpath report")
-	hotpathPasses := flag.Int("hotpath-passes", 0, "passes per hotpath shape; 0 = default")
-	metapathFlag := flag.Bool("metapath", false, "shorthand for -exp metapath")
-	metapathOut := flag.String("metapath-out", "BENCH_metapath.json", "output path for the metapath report")
-	metapathOps := flag.Int("metapath-ops", 0, "operations per metapath batch; 0 = default")
-	metapathMin := flag.Float64("metapath-min", 0, "fail unless every GiantSan churn speedup ≥ this floor; 0 disables")
-	tiersOut := flag.String("tiers-out", "BENCH_tiers.json", "output path for the tiers report")
-	tiersSeeds := flag.Int("tiers-seeds", 0, "planted-bug corpus seeds for the tiers suite; 0 = default")
-	tiersCheck := flag.Bool("tiers-check", false, "fail unless tier cost is strictly monotone down the ladder and detection never increases")
-	shardsOut := flag.String("shards-out", "BENCH_shards.json", "output path for the shards report")
-	shardsTenants := flag.Int("shards-tenants", 0, "tenant population for the shards scaling batch; 0 = default")
-	shardsCheck := flag.Bool("shards-check", false, "fail unless the highest shard count reaches -shards-min speedup and forked-arena residency is proportional to dirtied pages")
-	shardsMin := flag.Float64("shards-min", 3.0, "minimum virtual-clock speedup -shards-check demands of the highest shard count")
-	federationOut := flag.String("federation-out", "BENCH_federation.json", "output path for the federation report")
-	federationTenants := flag.Int("federation-tenants", 0, "tenant population for the federation routed batch; 0 = default")
-	federationCheck := flag.Bool("federation-check", false, "fail unless routed makespan reaches -federation-min2/-federation-min4 speedups and failover is lossless with ~1/N remap")
-	federationMin2 := flag.Float64("federation-min2", 1.8, "minimum routed-batch speedup -federation-check demands at 2 backends")
-	federationMin4 := flag.Float64("federation-min4", 3.0, "minimum routed-batch speedup -federation-check demands at 4 backends")
-	fuzzOut := flag.String("fuzz-out", "BENCH_fuzz.json", "output path for the fuzzing benchmark report")
-	fuzzCampaigns := flag.Int("fuzz-campaigns", 0, "campaigns per mode for the fuzzing benchmark; 0 = default")
-	fuzzBudget := flag.Int("fuzz-budget", 0, "execution budget per fuzzing campaign; 0 = default")
-	fuzzCheck := flag.Bool("fuzz-check", false, "fail unless guided detects every bug class and the blind/guided geomean reaches -fuzz-min")
-	fuzzMin := flag.Float64("fuzz-min", 1.5, "minimum geomean executions-to-detection ratio -fuzz-check demands")
-	canaryPrograms := flag.Int("canary-programs", 200, "generated programs for the canary campaign")
-	canaryPlant := flag.String("canary-plant", "", "inject a named fast-path mutation into the canary campaign")
-	canaryOut := flag.String("canary-out", "", "optional output path for the canary campaign JSON report")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables (table2, ablation, fig10)")
-	par := flag.Int("parallel", 0, "matrix worker count; 0 = GOMAXPROCS")
-	timeout := flag.Duration("timeout", 0, "per-item timeout guard; 0 disables")
-	clock := flag.String("clock", "virtual", "timing source: virtual (deterministic cost model) or wall")
-	quiet := flag.Bool("quiet", false, "suppress progress/ETA lines on stderr")
-	flag.Parse()
-	if *hotpathFlag {
-		*exp = "hotpath"
+// params is what a row's run reads from the command line.
+type params struct {
+	scale, reps int
+	opts        bench.Options
+}
+
+// exp is one registry row in typed form; R is its report type, which the
+// render, the artifact, -json and the check all read.
+type exp[R any] struct {
+	name string
+	// caption is printed above the rendered table; empty for renders
+	// that title themselves.
+	caption string
+	run     func(params) (R, error)
+	render  func(R) string
+	// artifact rows also write their report to BENCH_<name>.json.
+	artifact bool
+	// check is the row's gate, enforced under -check; nil when it has none.
+	check func(R) error
+	// validation rows run only when named, never under -exp all, and
+	// enforce their check on every run.
+	validation bool
+}
+
+// experiment is a registry row with its report type erased.
+type experiment struct {
+	name, caption        string
+	run                  func(params) (any, error)
+	render               func(any) string
+	check                func(any) error
+	artifact, validation bool
+}
+
+func (e exp[R]) row() experiment {
+	x := experiment{
+		name: e.name, caption: e.caption, artifact: e.artifact, validation: e.validation,
+		run:    func(p params) (any, error) { return e.run(p) },
+		render: func(rep any) string { return e.render(rep.(R)) },
 	}
-	if *metapathFlag {
-		*exp = "metapath"
+	if e.check != nil {
+		x.check = func(rep any) error { return e.check(rep.(R)) }
+	}
+	return x
+}
+
+// table2Report is the table2/ablation report: the rows and their
+// per-configuration geometric means.
+type table2Report struct {
+	Rows     []bench.Table2Row  `json:"rows"`
+	GeoMeans map[string]float64 `json:"geoMeans"`
+}
+
+func table2(name string, ablation bool, caption string) experiment {
+	return exp[table2Report]{
+		name: name, caption: caption,
+		run: func(p params) (table2Report, error) {
+			res, err := bench.Table2(p.scale, p.reps, ablation, p.opts)
+			if err != nil {
+				return table2Report{}, err
+			}
+			return table2Report{res.Rows, bench.GeoMeans(res.Rows)}, nil
+		},
+		render: func(r table2Report) string { return bench.RenderTable2(r.Rows, ablation) },
+	}.row()
+}
+
+// The study sizes behind rows that take no size flag.
+var (
+	quarantineBudgets = []uint64{96, 960, 9600, 96000, 1 << 20}
+	fig11Sizes        = []uint64{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10}
+	scaleOutCounts    = []int{1, 2, 4}
+)
+
+const quarantinePressure = 200
+
+// registry is every experiment, in -exp all order.
+var registry = []experiment{
+	table2("table2", false, "Table 2 — runtime overhead vs native (SPEC-like kernels)"),
+	table2("ablation", true, "Table 2 (ablation) — CacheOnly / EliminationOnly columns"),
+	exp[[]bench.Fig10Row]{
+		name:    "fig10",
+		caption: "Figure 10 — proportion of memory instructions per protection category",
+		run:     func(p params) ([]bench.Fig10Row, error) { return bench.Fig10(p.scale, p.opts) },
+		render:  bench.RenderFig10,
+	}.row(),
+	exp[[]bench.RedzoneRow]{
+		name:    "redzone",
+		caption: "Redzone trade-off (§4.4.1) — time and live-population footprint",
+		run:     func(p params) ([]bench.RedzoneRow, error) { return bench.RedzoneAblation(p.scale) },
+		render:  bench.RenderRedzone,
+	}.row(),
+	exp[[]bench.QuarantineRow]{
+		name:    "quarantine",
+		caption: "Quarantine-bypass study (§5.4) — dangling-pointer detection vs budget",
+		run: func(p params) ([]bench.QuarantineRow, error) {
+			return bench.QuarantineAblation(quarantineBudgets, quarantinePressure, p.opts)
+		},
+		render: bench.RenderQuarantine,
+	}.row(),
+	exp[*hotpath.Report]{
+		name:     "hotpath",
+		caption:  "Hot-path microbenchmark — ns/check and shadow-loads/check per sanitizer × shape",
+		run:      func(params) (*hotpath.Report, error) { return hotpath.Run(0) },
+		render:   hotpath.Render,
+		artifact: true,
+	}.row(),
+	exp[*metapath.Report]{
+		name:     "metapath",
+		caption:  "Metadata-path microbenchmark — ns/op and shadow-stores/op per sanitizer × class × churn",
+		run:      func(params) (*metapath.Report, error) { return metapath.Run(0) },
+		render:   metapath.Render,
+		artifact: true,
+		check:    func(r *metapath.Report) error { return metapath.Check(r, metapath.MinSpeedup) },
+	}.row(),
+	exp[*bench.TiersReport]{
+		name:     "tiers",
+		caption:  "Sanitization tiers — virtual ns/session vs planted-bug detection per ladder rung",
+		run:      func(p params) (*bench.TiersReport, error) { return bench.TiersRun(0, p.opts) },
+		render:   bench.RenderTiers,
+		artifact: true,
+		check:    bench.CheckMonotone,
+	}.row(),
+	exp[*shards.Report]{
+		name:     "shards",
+		caption:  "Service scale-out — virtual-clock makespan per shard count, forked-arena shadow residency",
+		run:      func(params) (*shards.Report, error) { return shards.Run(scaleOutCounts, 0) },
+		render:   shards.Render,
+		artifact: true,
+		check:    func(r *shards.Report) error { return shards.Check(r, shards.MinSpeedup) },
+	}.row(),
+	exp[*federation.Report]{
+		name:     "federation",
+		caption:  "Multi-process federation — routed makespan per backend count, proxy overhead, kill-one failover",
+		run:      func(params) (*federation.Report, error) { return federation.Run(scaleOutCounts, 0) },
+		render:   federation.Render,
+		artifact: true,
+		check: func(r *federation.Report) error {
+			return federation.Check(r, federation.MinSpeedup2, federation.MinSpeedup4)
+		},
+	}.row(),
+	exp[*fuzzbench.Report]{
+		name:     "fuzz",
+		caption:  "Sanitizer-guided fuzzing — executions-to-detection, guided vs blind campaigns",
+		run:      func(p params) (*fuzzbench.Report, error) { return fuzzbench.Run(0, 0, p.opts.Parallel) },
+		render:   fuzzbench.Render,
+		artifact: true,
+		check:    func(r *fuzzbench.Report) error { return fuzzbench.Check(r, fuzzbench.MinGeomean) },
+	}.row(),
+	exp[[]bench.Fig11Point]{
+		name:   "fig11",
+		run:    func(p params) ([]bench.Fig11Point, error) { return bench.Fig11(fig11Sizes, 50*p.reps, p.opts) },
+		render: bench.RenderFig11,
+	}.row(),
+	exp[[]juliet.Result]{
+		name:    "table3",
+		caption: "Table 3 — detection capability on the Juliet-like suite",
+		run:     func(p params) ([]juliet.Result, error) { return bench.Table3(p.opts), nil },
+		render:  bench.RenderTable3,
+	}.row(),
+	exp[[]flaws.Result]{
+		name:    "table4",
+		caption: "Table 4 — detection capability for Linux Flaw Project CVEs",
+		run:     func(p params) ([]flaws.Result, error) { return bench.Table4(p.opts), nil },
+		render:  bench.RenderTable4,
+	}.row(),
+	exp[[]magma.Result]{
+		name:    "table5",
+		caption: "Table 5 — detection under redzone settings (Magma-like corpus)",
+		run:     func(p params) ([]magma.Result, error) { return bench.Table5(p.opts), nil },
+		render:  bench.RenderTable5,
+	}.row(),
+	exp[*bench.CanaryReport]{
+		name:    "canary",
+		caption: "Differential validation canary — fast vs reference vs oracle over generated programs",
+		run:     func(p params) (*bench.CanaryReport, error) { return bench.CanaryRun(0, "", "", p.opts) },
+		// RenderCanary ends its summary with a newline of its own.
+		render: func(r *bench.CanaryReport) string { return strings.TrimSuffix(bench.RenderCanary(r), "\n") },
+		check: func(r *bench.CanaryReport) error {
+			if r.Discrepancies > 0 || r.Failures > 0 {
+				return fmt.Errorf("%d discrepancies, %d failures", r.Discrepancies, r.Failures)
+			}
+			return nil
+		},
+		validation: true,
+	}.row(),
+}
+
+func main() {
+	os.Exit(execute(registry, os.Args[1:], ".", os.Stdout, os.Stderr))
+}
+
+// execute parses args, runs the selected rows of rows in order and
+// returns the exit code: 0 on success, 1 when a row fails to run, to
+// write its artifact or its check, 2 on a usage error. Artifacts go to
+// dir.
+func execute(rows []experiment, args []string, dir string, stdout, stderr io.Writer) int {
+	var names []string
+	for _, r := range rows {
+		names = append(names, r.name)
+	}
+	fs := flag.NewFlagSet("giantbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", or all (every row but canary)")
+	scale := fs.Int("scale", 1, "workload scale factor")
+	reps := fs.Int("reps", 3, "repetitions per measurement (median)")
+	par := fs.Int("parallel", 0, "matrix worker count; 0 = GOMAXPROCS")
+	timeout := fs.Duration("timeout", 0, "per-item timeout guard; 0 disables")
+	clock := fs.String("clock", "virtual", "timing source: virtual (deterministic cost model) or wall")
+	quiet := fs.Bool("quiet", false, "suppress progress/ETA lines on stderr")
+	asJSON := fs.Bool("json", false, "print each report as indented JSON instead of its table")
+	check := fs.Bool("check", false, "fail the run when a report misses its row's CI gate")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *clock != "virtual" && *clock != "wall" {
+		fmt.Fprintf(stderr, "giantbench: -clock must be virtual or wall, got %q\n", *clock)
+		return 2
+	}
+	var selected []experiment
+	for _, r := range rows {
+		if r.name == *name || (*name == "all" && !r.validation) {
+			selected = append(selected, r)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "giantbench: unknown experiment %q; choose one of: %s, all\n", *name, strings.Join(names, ", "))
+		return 2
 	}
 
-	if *clock != "virtual" && *clock != "wall" {
-		fmt.Fprintf(os.Stderr, "giantbench: -clock must be virtual or wall, got %q\n", *clock)
-		os.Exit(2)
-	}
-	engine := func(name string) bench.Options {
-		o := bench.Options{
+	for _, r := range selected {
+		p := params{scale: *scale, reps: *reps, opts: bench.Options{
 			Parallel:    *par,
 			Timeout:     *timeout,
 			VirtualTime: *clock == "virtual",
-		}
+		}}
 		if !*quiet {
-			o.Progress = parallel.Printer(os.Stderr, "giantbench: "+name, 500*time.Millisecond)
+			p.opts.Progress = parallel.Printer(stderr, "giantbench: "+r.name, 500*time.Millisecond)
 		}
-		return o
-	}
-
-	emitJSON := func(v any) error {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "giantbench: %s: %v\n", name, err)
-			os.Exit(1)
+		if err := r.exec(p, dir, *asJSON, *check, stdout); err != nil {
+			fmt.Fprintf(stderr, "giantbench: %s: %v\n", r.name, err)
+			return 1
 		}
 	}
+	return 0
+}
 
-	table2 := func(name string, ablation bool, caption string) {
-		run(name, func() error {
-			res, err := bench.Table2Run(*scale, *reps, ablation, engine(name))
-			if err != nil {
-				return err
-			}
-			if *asJSON {
-				return emitJSON(struct {
-					Rows     []bench.Table2Row  `json:"rows"`
-					GeoMeans map[string]float64 `json:"geoMeans"`
-				}{res.Rows, bench.GeoMeans(res.Rows)})
-			}
-			fmt.Println(caption)
-			fmt.Println(bench.RenderTable2(res.Rows, ablation))
-			return nil
-		})
+// exec runs the row, writes its artifact, prints its report and applies
+// its check.
+func (r experiment) exec(p params, dir string, asJSON, check bool, stdout io.Writer) error {
+	rep, err := r.run(p)
+	if err != nil {
+		return err
 	}
-	table2("table2", false, "Table 2 — runtime overhead vs native (SPEC-like kernels)")
-	table2("ablation", true, "Table 2 (ablation) — CacheOnly / EliminationOnly columns")
-
-	run("fig10", func() error {
-		rows, err := bench.Fig10Run(*scale, engine("fig10"))
-		if err != nil {
+	path := ""
+	if r.artifact {
+		path = filepath.Join(dir, "BENCH_"+r.name+".json")
+		if err := writeArtifact(path, rep); err != nil {
 			return err
-		}
-		if *asJSON {
-			return emitJSON(rows)
-		}
-		fmt.Println("Figure 10 — proportion of memory instructions per protection category")
-		fmt.Println(bench.RenderFig10(rows))
-		return nil
-	})
-	run("redzone", func() error {
-		rows, err := bench.RedzoneAblation(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Redzone trade-off (§4.4.1) — time and live-population footprint")
-		fmt.Println(bench.RenderRedzone(rows))
-		return nil
-	})
-	run("quarantine", func() error {
-		rows, err := bench.QuarantineAblation([]uint64{96, 960, 9600, 96000, 1 << 20}, 200, engine("quarantine"))
-		if err != nil {
-			return err
-		}
-		fmt.Println("Quarantine-bypass study (§5.4) — dangling-pointer detection vs budget")
-		fmt.Println(bench.RenderQuarantine(rows))
-		return nil
-	})
-	run("hotpath", func() error {
-		rep, err := hotpath.Run(*hotpathPasses)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*hotpathOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			return emitJSON(rep)
-		}
-		fmt.Println("Hot-path microbenchmark — ns/check and shadow-loads/check per sanitizer × shape")
-		fmt.Println(hotpath.Render(rep))
-		fmt.Printf("(written to %s)\n", *hotpathOut)
-		return nil
-	})
-	run("metapath", func() error {
-		rep, err := metapath.Run(*metapathOps)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*metapathOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Metadata-path microbenchmark — ns/op and shadow-stores/op per sanitizer × class × churn")
-			fmt.Println(metapath.Render(rep))
-			fmt.Printf("(written to %s)\n", *metapathOut)
-		}
-		if *metapathMin > 0 {
-			var keys []string
-			for _, ch := range metapath.Churns() {
-				keys = append(keys, "giantsan/"+ch.Name)
-			}
-			if err := metapath.AssertFloor(rep, *metapathMin, keys...); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	run("tiers", func() error {
-		rep, err := bench.TiersRun(*tiersSeeds, engine("tiers"))
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*tiersOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Sanitization tiers — virtual ns/session vs planted-bug detection per ladder rung")
-			fmt.Println(bench.RenderTiers(rep))
-			fmt.Printf("(written to %s)\n", *tiersOut)
-		}
-		if *tiersCheck {
-			return bench.CheckMonotone(rep)
-		}
-		return nil
-	})
-	run("shards", func() error {
-		rep, err := shards.Run([]int{1, 2, 4}, *shardsTenants)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*shardsOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Service scale-out — virtual-clock makespan per shard count, forked-arena shadow residency")
-			fmt.Println(shards.Render(rep))
-			fmt.Printf("(written to %s)\n", *shardsOut)
-		}
-		if *shardsCheck {
-			return shards.Check(rep, *shardsMin)
-		}
-		return nil
-	})
-	run("federation", func() error {
-		rep, err := federation.Run([]int{1, 2, 4}, *federationTenants)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*federationOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Multi-process federation — routed makespan per backend count, proxy overhead, kill-one failover")
-			fmt.Println(federation.Render(rep))
-			fmt.Printf("(written to %s)\n", *federationOut)
-		}
-		if *federationCheck {
-			return federation.Check(rep, *federationMin2, *federationMin4)
-		}
-		return nil
-	})
-	run("fuzz", func() error {
-		rep, err := fuzzbench.Run(*fuzzCampaigns, *fuzzBudget, *par)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*fuzzOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				return err
-			}
-		} else {
-			fmt.Println("Sanitizer-guided fuzzing — executions-to-detection, guided vs blind campaigns")
-			fmt.Println(fuzzbench.Render(rep))
-			fmt.Printf("(written to %s)\n", *fuzzOut)
-		}
-		if *fuzzCheck {
-			return fuzzbench.Check(rep, *fuzzMin)
-		}
-		return nil
-	})
-	// The canary campaign runs only when asked for by name: unlike the
-	// paper tables it is a validation suite, and its "fail on any
-	// discrepancy" exit contract should not ambush -exp all.
-	if *exp == "canary" {
-		rep, err := bench.CanaryRun(*canaryPrograms, *canaryPlant, "", engine("canary"))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
-			os.Exit(1)
-		}
-		if *canaryOut != "" {
-			f, err := os.Create(*canaryOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
-				os.Exit(1)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		if *asJSON {
-			if err := emitJSON(rep); err != nil {
-				fmt.Fprintf(os.Stderr, "giantbench: canary: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Println("Differential validation canary — fast vs reference vs oracle over generated programs")
-			fmt.Print(bench.RenderCanary(rep))
-		}
-		// A discrepancy with no plant is a real fast-path drift: fail the
-		// run. With a plant, discrepancies are the expected outcome.
-		if *canaryPlant == "" && (rep.Discrepancies > 0 || rep.Failures > 0) {
-			os.Exit(1)
 		}
 	}
-
-	run("fig11", func() error {
-		pts, err := bench.Fig11Run([]uint64{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10}, 50**reps, engine("fig11"))
-		if err != nil {
+	if asJSON {
+		if err := encodeJSON(stdout, rep); err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderFig11(pts))
-		return nil
-	})
+	} else {
+		if r.caption != "" {
+			fmt.Fprintln(stdout, r.caption)
+		}
+		fmt.Fprintln(stdout, r.render(rep))
+		if path != "" {
+			fmt.Fprintf(stdout, "(written to %s)\n", path)
+		}
+	}
+	if r.check != nil && (check || r.validation) {
+		return r.check(rep)
+	}
+	return nil
+}
+
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+func writeArtifact(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := encodeJSON(f, v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -6,7 +6,7 @@
 // folding, the paper's contribution), AddressSanitizer, ASan-- and the
 // low-fat-pointer baseline LFP — behind one Detector API, plus the full
 // evaluation harness regenerating every table and figure of the paper
-// (see internal/bench, cmd/giantbench and cmd/bugsweep).
+// (see internal/bench and cmd/giantbench).
 //
 // A Detector owns a simulated heap and stack. Allocate with Malloc /
 // Alloca, touch memory with Read / Write / Fill, and every operation is
@@ -173,8 +173,9 @@ func (d *Detector) Realloc(p Ptr, size uint64) (Ptr, error) {
 // PushFrame opens a stack frame.
 func (d *Detector) PushFrame() { d.t.RT.PushFrame() }
 
-// Alloca allocates a stack local in the current frame.
-func (d *Detector) Alloca(size uint64) Ptr { return d.t.RT.Alloca(size) }
+// Alloca allocates a stack local in the current frame. It panics when
+// the simulated stack is exhausted.
+func (d *Detector) Alloca(size uint64) Ptr { return d.t.Alloca(size) }
 
 // PopFrame closes the current frame.
 func (d *Detector) PopFrame() { d.t.RT.PopFrame() }

@@ -116,18 +116,6 @@ func median(ds []time.Duration) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// Table2 regenerates the performance study: every workload under every
-// configuration, reps repetitions each (median taken). It runs the matrix
-// strictly sequentially — the highest-fidelity setting for wall-clock
-// timing. Table2Run is the parallel engine entry point.
-func Table2(scale, reps int, includeAblation bool) ([]Table2Row, error) {
-	res, err := Table2Run(scale, reps, includeAblation, Options{Parallel: 1})
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
 // Table2Result bundles the merged outputs of one Table 2 matrix run.
 type Table2Result struct {
 	Rows []Table2Row
@@ -143,12 +131,15 @@ type table2Item struct {
 	wi, ci, rep int
 }
 
-// Table2Run shards the kernel × sanitizer × repetition matrix across the
-// worker pool. Each item executes one repetition inside its own freshly
-// constructed runtime; samples, medians and Stats are merged by matrix
-// index, so the rendered table is identical at any opts.Parallel level
-// (byte-identical across machines too under opts.VirtualTime).
-func Table2Run(scale, reps int, includeAblation bool, opts Options) (*Table2Result, error) {
+// Table2 regenerates the performance study: every workload under every
+// configuration, reps repetitions each (median taken). The kernel ×
+// sanitizer × repetition matrix is sharded across the worker pool. Each
+// item executes one repetition inside its own freshly constructed
+// runtime; samples, medians and Stats are merged by matrix index, so the
+// rendered table is identical at any opts.Parallel level (byte-identical
+// across machines too under opts.VirtualTime). Wall-clock timing is best
+// taken at opts.Parallel 1.
+func Table2(scale, reps int, includeAblation bool, opts Options) (*Table2Result, error) {
 	ws := workload.All()
 	cfgs := Configs()
 	var items []table2Item

@@ -22,9 +22,8 @@ func TestRunOnceAllConfigs(t *testing.T) {
 	}
 }
 
-// TestTable2Shape runs a reduced Table 2 (three representative programs
-// via the full driver would be slow; instead use scale 1, one rep, full
-// program list) and asserts the paper's ordering:
+// TestTable2Shape asserts the paper's ordering on the parallel-1 Table 2
+// matrix TestTable2RunParallelDeterministic computes:
 //
 //	native < giantsan < asan--, asan  (geometric means)
 //	and both ablations fall between full GiantSan and ASan.
@@ -32,10 +31,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full performance table")
 	}
-	res, err := Table2Run(1, 1, true, Options{Parallel: 1, VirtualTime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sequentialTable2(t)
 	rows := res.Rows
 	if len(rows) != 24 {
 		t.Fatal("rows = ", len(rows), ", want 24")
@@ -68,19 +64,11 @@ func TestTable2Shape(t *testing.T) {
 
 	// Deterministic ordering: total sanitizer work (checks + metadata
 	// loads) across the whole suite must strictly decrease ASan → ASan--
-	// → GiantSan, independent of machine load.
+	// → GiantSan, independent of machine load. The matrix's merged Stats
+	// sum every kernel's runs per configuration.
 	work := map[string]uint64{}
-	for _, w := range workload.All() {
-		for _, cfg := range Configs() {
-			switch cfg.Label {
-			case "giantsan", "asan", "asan--":
-				_, res, err := RunOnce(w, cfg, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				work[cfg.Label] += res.San.Checks + res.San.ShadowLoads
-			}
-		}
+	for _, label := range []string{"giantsan", "asan", "asan--"} {
+		work[label] = res.Stats[label].Checks + res.Stats[label].ShadowLoads
 	}
 	if !(work["giantsan"] < work["asan--"] && work["asan--"] < work["asan"]) {
 		t.Errorf("work ordering violated: giantsan=%d asan--=%d asan=%d",
@@ -107,10 +95,7 @@ func TestTable2Shape(t *testing.T) {
 // more than half the checks are optimized (paper: 52.56% = 30.76%
 // eliminated + 21.80% cached).
 func TestFig10MeanShape(t *testing.T) {
-	rows, err := Fig10(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sequentialFig10(t)
 	if len(rows) != 24 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -134,7 +119,7 @@ func TestFig10MeanShape(t *testing.T) {
 }
 
 func TestFig11Measures(t *testing.T) {
-	pts, err := Fig11([]uint64{1024, 4096}, 3)
+	pts, err := Fig11([]uint64{1024, 4096}, 3, Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,19 +139,21 @@ func TestFig11Measures(t *testing.T) {
 	}
 }
 
+// TestDetectionTablesRender asserts on the parallel-1 renders
+// TestDetectionTablesParallelDeterministic computes.
 func TestDetectionTablesRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full detection suites")
 	}
-	t3 := RenderTable3()
+	t3 := sequentialTable3(t)
 	if !strings.Contains(t3, "121: Stack Buffer Overflow") || !strings.Contains(t3, "Total") {
 		t.Error("table 3 render incomplete")
 	}
-	t4 := RenderTable4()
+	t4 := sequentialTable4(t)
 	if !strings.Contains(t4, "CVE-2017-12858") {
 		t.Error("table 4 render incomplete")
 	}
-	t5 := RenderTable5()
+	t5 := sequentialTable5(t)
 	if !strings.Contains(t5, "php (1.3M)") {
 		t.Error("table 5 render incomplete")
 	}

@@ -44,6 +44,13 @@ const DefaultTenants = 96
 // replaces, in-process sharding.
 const ShardsPerBackend = 2
 
+// MinSpeedup2 and MinSpeedup4 are the CI gate's floors: the routed-batch
+// makespan speedups Check demands at two and at four backends.
+const (
+	MinSpeedup2 = 1.8
+	MinSpeedup4 = 3.0
+)
+
 // workloads is the session mix, reused round-robin across tenants: the
 // same four kernels the shards and tiers suites bill.
 func workloads() []string {

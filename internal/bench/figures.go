@@ -23,16 +23,12 @@ type Fig10Row struct {
 	Eliminated, Cached, FastOnly, FullCheck float64
 }
 
-// Fig10 regenerates the ablation proportions with default engine options.
-// The proportions are counter ratios — deterministic at any parallelism.
-func Fig10(scale int) ([]Fig10Row, error) {
-	return Fig10Run(scale, Options{})
-}
-
-// Fig10Run shards the 24 kernels across the worker pool; each item runs
-// the full-GiantSan configuration in its own runtime. Rows are merged in
-// workload order.
-func Fig10Run(scale int, opts Options) ([]Fig10Row, error) {
+// Fig10 regenerates the ablation proportions, sharding the 24 kernels
+// across the worker pool; each item runs the full-GiantSan configuration
+// in its own runtime. Rows are merged in workload order, and the
+// proportions are counter ratios, so they are identical at any
+// parallelism.
+func Fig10(scale int, opts Options) ([]Fig10Row, error) {
 	cfg := Configs()[1] // the full GiantSan configuration
 	if cfg.Profile.Name != instrument.GiantSanProfile.Name {
 		panic("bench: Configs order changed; Fig10 needs giantsan")
@@ -93,21 +89,16 @@ type Fig11Point struct {
 	PerPass  time.Duration
 }
 
-// Fig11 measures all pattern/mode/size combinations sequentially (the
-// highest-fidelity setting for these timing microbenchmarks). reps passes
-// are averaged per point. The mode set includes GiantSanLB, the §5.4
-// lower-bound mitigation, so the figure shows both the limitation and
-// its proposed fix.
-func Fig11(sizes []uint64, reps int) ([]Fig11Point, error) {
-	return Fig11Run(sizes, reps, Options{Parallel: 1})
-}
-
-// Fig11Run shards the pattern × mode × size matrix across the worker
-// pool; each item builds its own harness (buffer, runtime, shadow) and
-// measures its own passes. Points are merged in matrix order. Under
-// opts.VirtualTime the per-pass duration is derived from the harness's
-// check and metadata-load counters instead of the wall clock.
-func Fig11Run(sizes []uint64, reps int, opts Options) ([]Fig11Point, error) {
+// Fig11 measures every pattern × mode × size point, reps passes averaged
+// per point. The mode set includes GiantSanLB, the §5.4 lower-bound
+// mitigation, so the figure shows both the limitation and its proposed
+// fix. The matrix is sharded across the worker pool; each item builds its
+// own harness (buffer, runtime, shadow) and measures its own passes, and
+// points are merged in matrix order. Under opts.VirtualTime the per-pass
+// duration is derived from the harness's check and metadata-load counters
+// instead of the wall clock; wall-clock runs are best taken at
+// opts.Parallel 1.
+func Fig11(sizes []uint64, reps int, opts Options) ([]Fig11Point, error) {
 	type fig11Item struct {
 		pattern traversal.Pattern
 		mode    traversal.Mode
@@ -194,18 +185,20 @@ func DetectionTools() []*tool.Tool {
 	}
 }
 
-// RenderTable3 runs the Juliet study and renders the paper's layout.
-func RenderTable3() string { return RenderTable3Opts(Options{}) }
-
-// RenderTable3Opts is RenderTable3 with the corpus sharded across the
-// worker pool: one item per generated case, each against a fresh tool
-// set. Tallies are merged in case order, so the table is identical at any
+// Table3 runs the Juliet study with the corpus sharded across the worker
+// pool: one item per generated case, each against a fresh tool set.
+// Tallies are merged in case order, so the rows are identical at any
 // parallelism.
-func RenderTable3Opts(opts Options) string {
+func Table3(opts Options) []juliet.Result {
+	return juliet.RunOpts(DetectionTools, opts.pool())
+}
+
+// RenderTable3 renders the Juliet study in the paper's layout.
+func RenderTable3(rows []juliet.Result) string {
 	tb := texttable.New("CWE ID & Type", "GiantSan", "ASan", "ASan--", "LFP", "Total")
 	totals := map[string]int{}
 	grand := 0
-	for _, r := range juliet.RunOpts(DetectionTools, opts.pool()) {
+	for _, r := range rows {
 		tb.Add(fmt.Sprintf("%d: %s", r.CWE, juliet.CWEName(r.CWE)),
 			r.Detected["giantsan"], r.Detected["asan"], r.Detected["asan--"], r.Detected["lfp"], r.Total)
 		for k, v := range r.Detected {
@@ -217,11 +210,14 @@ func RenderTable3Opts(opts Options) string {
 	return tb.String()
 }
 
-// RenderTable4 runs the CVE study and renders the paper's layout.
-func RenderTable4() string { return RenderTable4Opts(Options{}) }
+// Table4 runs the CVE study sharded one CVE scenario per item; rows keep
+// Table 4's order.
+func Table4(opts Options) []flaws.Result {
+	return flaws.RunOpts(DetectionTools, opts.pool())
+}
 
-// RenderTable4Opts is RenderTable4 sharded one CVE scenario per item.
-func RenderTable4Opts(opts Options) string {
+// RenderTable4 renders the CVE study in the paper's layout.
+func RenderTable4(rows []flaws.Result) string {
 	tb := texttable.New("Program", "CVE ID", "GiantSan", "ASan", "ASan--", "LFP")
 	mark := func(b bool) string {
 		if b {
@@ -229,7 +225,7 @@ func RenderTable4Opts(opts Options) string {
 		}
 		return "-"
 	}
-	for _, r := range flaws.RunOpts(DetectionTools, opts.pool()) {
+	for _, r := range rows {
 		tb.Add(r.CVE.Program, r.CVE.ID,
 			mark(r.Detected["giantsan"]), mark(r.Detected["asan"]),
 			mark(r.Detected["asan--"]), mark(r.Detected["lfp"]))
@@ -237,14 +233,16 @@ func RenderTable4Opts(opts Options) string {
 	return tb.String()
 }
 
-// RenderTable5 runs the Magma study and renders the paper's layout.
-func RenderTable5() string { return RenderTable5Opts(Options{}) }
+// Table5 runs the Magma study sharded one (project, tool config) per
+// item — each item owns a full runtime sized for its POC corpus.
+func Table5(opts Options) []magma.Result {
+	return magma.RunAllOpts(opts.pool())
+}
 
-// RenderTable5Opts is RenderTable5 sharded one (project, tool config)
-// per item — each item owns a full runtime sized for its POC corpus.
-func RenderTable5Opts(opts Options) string {
+// RenderTable5 renders the Magma study in the paper's layout.
+func RenderTable5(rows []magma.Result) string {
 	tb := texttable.New("Project (LoC)", "ASan--(rz16)", "ASan--(rz512)", "ASan(rz16)", "ASan(rz512)", "GiantSan(rz16)", "Total")
-	for _, r := range magma.RunAllOpts(opts.pool()) {
+	for _, r := range rows {
 		tb.Add(fmt.Sprintf("%s (%s)", r.Project.Name, r.Project.LoC),
 			r.Counts["asan--(rz=16)"], r.Counts["asan--(rz=512)"],
 			r.Counts["asan(rz=16)"], r.Counts["asan(rz=512)"],

@@ -9,9 +9,9 @@
 //
 // Everything is seeded and billed on the virtual clock, so the report
 // committed as BENCH_fuzz.json is byte-identical across runs, machines,
-// and -parallel levels. `giantbench -exp fuzz -fuzz-check` is the CI
-// gate: it fails unless the guided engine detects every class in every
-// campaign and the geomean ratio clears the floor.
+// and -parallel levels. `giantbench -exp fuzz -check` is the CI gate: it
+// fails unless the guided engine detects every class in every campaign
+// and the geomean ratio clears MinGeomean.
 package fuzzbench
 
 import (
@@ -22,6 +22,10 @@ import (
 	"giantsan/internal/fuzz"
 	"giantsan/internal/texttable"
 )
+
+// MinGeomean is the CI gate's floor: the geometric-mean blind/guided
+// executions-to-detection ratio Check demands.
+const MinGeomean = 1.5
 
 // CampaignRow summarizes one campaign.
 type CampaignRow struct {

@@ -6,8 +6,8 @@
 // (pre-optimization) implementation — the before/after evidence for the
 // fast-path work, since the reference path IS the pre-optimization code.
 //
-// The results land in BENCH_hotpath.json via `giantbench -exp hotpath`
-// (also spelled `giantbench -hotpath`); `go test -bench=Hotpath
+// The results land in BENCH_hotpath.json via `giantbench -exp hotpath`;
+// `go test -bench=Hotpath
 // ./internal/bench/hotpath` runs the same shapes under the standard Go
 // benchmark harness.
 package hotpath

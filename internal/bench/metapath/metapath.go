@@ -9,7 +9,7 @@
 // (precomputed fold templates, word-wide fills, batched refill/eviction
 // sweeps) over the reference writers, which ARE the pre-PR poisoning code.
 //
-// The results land in BENCH_metapath.json via `giantbench -metapath`;
+// The results land in BENCH_metapath.json via `giantbench -exp metapath`;
 // `go test -bench=Metapath ./internal/bench/metapath` runs the same matrix
 // under the standard Go benchmark harness. ASan-- shares ASan's runtime
 // poisoner and LFP has no shadow poisoner, so the matrix covers GiantSan
@@ -33,6 +33,11 @@ const HeapBytes = 8 << 20
 // FrameLocals is how many locals of the size class one stack-frame op
 // pushes.
 const FrameLocals = 4
+
+// MinSpeedup is the CI gate's floor: the fast-vs-reference geomean
+// speedup Check demands of every GiantSan churn, so the fast lane never
+// regresses past its reference path.
+const MinSpeedup = 1.0
 
 // Churn is one allocation-lifecycle pattern. Build returns a fresh
 // environment's op runner — run performs `ops` allocate/release
@@ -276,6 +281,15 @@ func AssertFloor(rep *Report, min float64, keys ...string) error {
 		}
 	}
 	return nil
+}
+
+// Check is the CI gate: AssertFloor over every GiantSan churn.
+func Check(rep *Report, min float64) error {
+	var keys []string
+	for _, ch := range Churns() {
+		keys = append(keys, "giantsan/"+ch.Name)
+	}
+	return AssertFloor(rep, min, keys...)
 }
 
 // Render formats a report as a text table followed by the per-churn

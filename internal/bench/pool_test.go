@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"giantsan/internal/ir"
@@ -11,6 +12,59 @@ import (
 	"giantsan/internal/progen"
 	"giantsan/internal/workload"
 )
+
+// shared holds one expensive result, computed at most once per test
+// binary: each parallel-1 table below is read both by the determinism
+// test that compares it with a parallel-8 run and by the tests that
+// assert on its content.
+type shared[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+func (s *shared[T]) get(t *testing.T, compute func() (T, error)) T {
+	t.Helper()
+	s.once.Do(func() { s.v, s.err = compute() })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.v
+}
+
+var (
+	table2P1 shared[*Table2Result]
+	fig10P1  shared[[]Fig10Row]
+	table3P1 shared[string]
+	table4P1 shared[string]
+	table5P1 shared[string]
+)
+
+// sequentialTable2 is the parallel-1, two-repetition, virtual-clock Table
+// 2 matrix with the ablation columns.
+func sequentialTable2(t *testing.T) *Table2Result {
+	return table2P1.get(t, func() (*Table2Result, error) {
+		return Table2(1, 2, true, Options{Parallel: 1, VirtualTime: true})
+	})
+}
+
+func sequentialFig10(t *testing.T) []Fig10Row {
+	return fig10P1.get(t, func() ([]Fig10Row, error) { return Fig10(1, Options{Parallel: 1}) })
+}
+
+// sequentialTable3, 4 and 5 are the parallel-1 renders of the detection
+// tables.
+func sequentialTable3(t *testing.T) string {
+	return table3P1.get(t, func() (string, error) { return RenderTable3(Table3(Options{Parallel: 1})), nil })
+}
+
+func sequentialTable4(t *testing.T) string {
+	return table4P1.get(t, func() (string, error) { return RenderTable4(Table4(Options{Parallel: 1})), nil })
+}
+
+func sequentialTable5(t *testing.T) string {
+	return table5P1.get(t, func() (string, error) { return RenderTable5(Table5(Options{Parallel: 1})), nil })
+}
 
 // TestTable2RunParallelDeterministic is the engine's core contract: the
 // full kernel × sanitizer × repetition matrix, run at one worker and at
@@ -21,11 +75,8 @@ func TestTable2RunParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full performance matrix twice")
 	}
-	seq, err := Table2Run(1, 2, true, Options{Parallel: 1, VirtualTime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Table2Run(1, 2, true, Options{Parallel: 8, VirtualTime: true})
+	seq := sequentialTable2(t)
+	par, err := Table2(1, 2, true, Options{Parallel: 8, VirtualTime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +113,11 @@ func TestTable2RunParallelDeterministic(t *testing.T) {
 // worker count.
 func TestFig11RunParallelDeterministic(t *testing.T) {
 	sizes := []uint64{1024, 4096}
-	seq, err := Fig11Run(sizes, 2, Options{Parallel: 1, VirtualTime: true})
+	seq, err := Fig11(sizes, 2, Options{Parallel: 1, VirtualTime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig11Run(sizes, 2, Options{Parallel: 8, VirtualTime: true})
+	par, err := Fig11(sizes, 2, Options{Parallel: 8, VirtualTime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +132,8 @@ func TestFig11RunParallelDeterministic(t *testing.T) {
 // TestFig10RunParallelDeterministic: the ablation proportions are counter
 // ratios, so parallelism must not perturb them at all.
 func TestFig10RunParallelDeterministic(t *testing.T) {
-	seq, err := Fig10Run(1, Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Fig10Run(1, Options{Parallel: 8})
+	seq := sequentialFig10(t)
+	par, err := Fig10(1, Options{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +147,16 @@ func TestFig10RunParallelDeterministic(t *testing.T) {
 // count; Tables 3 and 5 — the Juliet corpus and Magma's ~295k POC
 // executions — join in full (non-short) runs.
 func TestDetectionTablesParallelDeterministic(t *testing.T) {
-	if a, b := RenderTable4Opts(Options{Parallel: 1}), RenderTable4Opts(Options{Parallel: 8}); a != b {
+	if a, b := sequentialTable4(t), RenderTable4(Table4(Options{Parallel: 8})); a != b {
 		t.Errorf("table 4 differs between -parallel 1 and 8:\n%s\nvs\n%s", a, b)
 	}
 	if testing.Short() {
 		return
 	}
-	if a, b := RenderTable3Opts(Options{Parallel: 1}), RenderTable3Opts(Options{Parallel: 8}); a != b {
+	if a, b := sequentialTable3(t), RenderTable3(Table3(Options{Parallel: 8})); a != b {
 		t.Errorf("table 3 differs between -parallel 1 and 8:\n%s\nvs\n%s", a, b)
 	}
-	if a, b := RenderTable5Opts(Options{Parallel: 1}), RenderTable5Opts(Options{Parallel: 8}); a != b {
+	if a, b := sequentialTable5(t), RenderTable5(Table5(Options{Parallel: 8})); a != b {
 		t.Errorf("table 5 differs between -parallel 1 and 8:\n%s\nvs\n%s", a, b)
 	}
 }
@@ -178,7 +226,7 @@ func TestRateRunReturnsMeasurementOnError(t *testing.T) {
 // layer's ETA lines; the final snapshot must account for every item.
 func TestBenchProgress(t *testing.T) {
 	var last parallel.Progress
-	_, err := Fig10Run(1, Options{Parallel: 4, Progress: func(p parallel.Progress) { last = p }})
+	_, err := Fig10(1, Options{Parallel: 4, Progress: func(p parallel.Progress) { last = p }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,10 @@ import (
 // to keep the suite in smoke-test territory.
 const DefaultTenants = 96
 
+// MinSpeedup is the CI gate's floor: the virtual-clock makespan speedup
+// Check demands of the highest shard count.
+const MinSpeedup = 3.0
+
 // scalingWorkloads is the session mix, reused round-robin across the
 // tenant population: the same four kernels the tiers suite bills, so
 // every protection mode carries weight in the per-shard load.

@@ -41,13 +41,13 @@ func TestTierLadderResolution(t *testing.T) {
 // TestTiersMonotoneCostAndDetection is the committed-artifact contract:
 // virtual cost strictly decreases down the ladder while detection only
 // ever decreases, and the cheapest tier still detects. This is the same
-// gate `giantbench -exp tiers -tiers-check` applies in CI.
+// gate `giantbench -exp tiers -check` applies in CI.
 func TestTiersMonotoneCostAndDetection(t *testing.T) {
 	seeds := 60
 	if raceEnabled {
 		// The race build only needs to exercise the concurrent run paths;
 		// the full 60-seed statistics are gated without -race by CI's
-		// `giantbench -exp tiers -tiers-check`.
+		// `giantbench -exp tiers -check`.
 		seeds = 16
 	}
 	rep, err := TiersRun(seeds, Options{})

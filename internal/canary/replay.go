@@ -144,7 +144,11 @@ func oracleLeg(events []trace.Event, cfg Config) (obs OracleObservation, err err
 			if frames == 0 {
 				return obs, fmt.Errorf("canary: oracle event %d: alloca outside frame", i+1)
 			}
-			regs[ev.Reg] = env.Alloca(ev.Size)
+			p, aerr := env.Alloca(ev.Size)
+			if aerr != nil {
+				return obs, fmt.Errorf("canary: oracle event %d: %w", i+1, aerr)
+			}
+			regs[ev.Reg] = p
 		case trace.OpFree:
 			p, ok := regs[ev.Reg]
 			if !ok {

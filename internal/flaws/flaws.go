@@ -30,7 +30,7 @@ type CVE struct {
 	ID      string
 	// Kind is the scenario family (for documentation).
 	Kind string
-	Run  func(t *tool.Tool)
+	Run  func(t *tool.Tool) `json:"-"`
 }
 
 // heapOverflow returns a scenario writing n bytes at offset off past the

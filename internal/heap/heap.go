@@ -178,6 +178,13 @@ func (a *Allocator) chunkSizeFor(userSize uint64) uint64 {
 	return a.rz + alignUp(userSize) + a.rz
 }
 
+// tooLarge reports a user size larger than the whole arena. Malloc
+// refuses such a size before chunkSizeFor, whose rounding a size near
+// 2^64 would wrap to a small chunk.
+func (a *Allocator) tooLarge(size uint64) error {
+	return fmt.Errorf("%w: %d bytes exceed the %d-byte arena", ErrOutOfMemory, size, a.limit-a.start)
+}
+
 // Malloc allocates size bytes (size ≥ 1; size 0 is promoted to 1, matching
 // malloc(0) returning a unique pointer) and returns the 8-byte-aligned user
 // base address.
@@ -190,6 +197,9 @@ func (a *Allocator) Malloc(size uint64) (vmem.Addr, error) {
 func (a *Allocator) MallocLabeled(size uint64, label string) (vmem.Addr, error) {
 	if size == 0 {
 		size = 1
+	}
+	if size > uint64(a.limit-a.start) {
+		return 0, a.tooLarge(size)
 	}
 	a.mu.Lock()
 	c, err := a.takeChunk(a.chunkSizeFor(size))

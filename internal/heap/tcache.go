@@ -49,6 +49,9 @@ func (t *TCache) MallocLabeled(size uint64, label string) (vmem.Addr, error) {
 		size = 1
 	}
 	a := t.a
+	if size > uint64(a.limit-a.start) {
+		return 0, a.tooLarge(size)
+	}
 	full := a.chunkSizeFor(size)
 	if list := t.cache[full]; len(list) > 0 {
 		c := list[len(list)-1]

@@ -57,7 +57,13 @@ func (c *compiler) stmt(s ir.Stmt) (stmtFn, error) {
 			return nil, err
 		}
 		i := c.slot(n.Dst)
-		return func(s *state) { s.vars[i] = int64(s.run.Alloca(uint64(size(s)))) }, nil
+		return func(s *state) {
+			p, err := s.run.Alloca(uint64(size(s)))
+			if err != nil {
+				panic(fmt.Sprintf("interp: alloca failed: %v", err))
+			}
+			s.vars[i] = int64(p)
+		}, nil
 
 	case *ir.Frame:
 		body, err := c.block(n.Body)

@@ -281,7 +281,7 @@ func (r *Runtime) PushFrame() {
 // Alloca implements rt.Runtime. Protected locals get a low-fat slot;
 // everything else lands in the unprotected stack region where bounds are
 // the whole region (no detection).
-func (r *Runtime) Alloca(size uint64) vmem.Addr {
+func (r *Runtime) Alloca(size uint64) (vmem.Addr, error) {
 	if size == 0 {
 		size = 1
 	}
@@ -292,13 +292,15 @@ func (r *Runtime) Alloca(size uint64) vmem.Addr {
 		if p, err := r.Malloc(size); err == nil {
 			top := len(r.frameObjs) - 1
 			r.frameObjs[top] = append(r.frameObjs[top], p)
-			return p
+			return p, nil
 		}
 	}
+	// The size is compared before it is rounded, which a size near 2^64
+	// would wrap.
+	room := uint64(r.regionStart(r.stackRegion) + vmem.Addr(r.regionSize) - r.stackBump)
 	reserved := (size + 7) &^ 7
-	end := r.regionStart(r.stackRegion) + vmem.Addr(r.regionSize)
-	if r.stackBump+vmem.Addr(reserved) > end {
-		panic("lfp: simulated stack exhausted")
+	if size > room || reserved > room {
+		return 0, fmt.Errorf("lfp: simulated stack exhausted: a %d-byte local does not fit in the %d bytes left", size, room)
 	}
 	p := r.stackBump
 	r.stackBump += vmem.Addr(reserved)
@@ -307,7 +309,7 @@ func (r *Runtime) Alloca(size uint64) vmem.Addr {
 	if r.oracle != nil {
 		r.oracle.Alloc(p, size, 0, 0, oracle.Stack, "")
 	}
-	return p
+	return p, nil
 }
 
 // PopFrame implements rt.Runtime.

@@ -13,6 +13,16 @@ func newRT(t *testing.T) *Runtime {
 	return New(Config{HeapBytes: 16 << 20, MaxClass: 1 << 16, WithOracle: true})
 }
 
+// alloca is Alloca failing the test when the stack is exhausted.
+func alloca(t *testing.T, r *Runtime, size uint64) vmem.Addr {
+	t.Helper()
+	p, err := r.Alloca(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestClasses(t *testing.T) {
 	cs := Classes(128)
 	want := []uint64{16, 24, 32, 40, 48, 56, 64, 80, 96, 112, 128}
@@ -152,12 +162,12 @@ func TestStackProtectionRule(t *testing.T) {
 	r.PushFrame()
 	defer r.PopFrame()
 	// 64 is class-exact and ≥ 64: protected — overflow detected.
-	p := r.Alloca(64)
+	p := alloca(t, r, 64)
 	if err := r.CheckAnchored(p, p+64, 1, report.Write); err == nil {
 		t.Error("protected stack local overflow missed")
 	}
 	// 60 is not class-exact: unprotected — overflow missed.
-	q := r.Alloca(60)
+	q := alloca(t, r, 60)
 	if err := r.CheckAnchored(q, q+64, 1, report.Write); err != nil {
 		t.Errorf("unprotected stack local unexpectedly caught: %v", err)
 	}
@@ -166,15 +176,15 @@ func TestStackProtectionRule(t *testing.T) {
 func TestStackFrameLifecycle(t *testing.T) {
 	r := newRT(t)
 	r.PushFrame()
-	a := r.Alloca(100)
+	a := alloca(t, r, 100)
 	r.PushFrame()
-	b := r.Alloca(100)
+	b := alloca(t, r, 100)
 	_ = b
 	r.PopFrame()
 	r.PopFrame()
 	// The stack bump is back at the start; new frames reuse addresses.
 	r.PushFrame()
-	c := r.Alloca(100)
+	c := alloca(t, r, 100)
 	if c != a {
 		t.Errorf("stack not recycled: %#x vs %#x", c, a)
 	}

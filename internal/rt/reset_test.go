@@ -89,10 +89,10 @@ func dirty(t *testing.T, e *Env) string {
 
 	// Stack: nested frames, a batched frame, and popped-frame poison.
 	e.PushFrame()
-	a := e.Alloca(40)
+	a := alloca(t, e, 40)
 	e.Space().Memset(a, 0xAA, 40)
 	e.PushFrame()
-	b := e.Alloca(100)
+	b := alloca(t, e, 100)
 	record(e.San().CheckAccess(b, 8, report.Write))
 	record(e.San().CheckAccess(b+100, 1, report.Write)) // redzone
 	e.PopFrame()

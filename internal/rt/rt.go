@@ -29,7 +29,7 @@ type Runtime interface {
 	Malloc(size uint64) (vmem.Addr, error)
 	Free(p vmem.Addr) *report.Error
 	PushFrame()
-	Alloca(size uint64) vmem.Addr
+	Alloca(size uint64) (vmem.Addr, error)
 	PopFrame()
 	Space() *vmem.Space
 	// Oracle returns the ground-truth tracker, or nil when disabled.
@@ -252,7 +252,7 @@ func (e *Env) Free(p vmem.Addr) *report.Error { return e.heap.Free(p) }
 func (e *Env) PushFrame() { e.stack.Push() }
 
 // Alloca implements Runtime.
-func (e *Env) Alloca(size uint64) vmem.Addr { return e.stack.Alloca(size) }
+func (e *Env) Alloca(size uint64) (vmem.Addr, error) { return e.stack.Alloca(size) }
 
 // PopFrame implements Runtime.
 func (e *Env) PopFrame() { e.stack.Pop() }

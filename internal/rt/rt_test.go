@@ -4,7 +4,18 @@ import (
 	"testing"
 
 	"giantsan/internal/report"
+	"giantsan/internal/vmem"
 )
+
+// alloca is Alloca failing the test when the stack is exhausted.
+func alloca(t *testing.T, r Runtime, size uint64) vmem.Addr {
+	t.Helper()
+	p, err := r.Alloca(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func TestKindsAndNames(t *testing.T) {
 	for kind, want := range map[Kind]string{GiantSan: "giantsan", ASan: "asan", ASanMinus: "asan--"} {
@@ -25,7 +36,7 @@ func TestRegionsDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.PushFrame()
-	s := env.Alloca(64)
+	s := alloca(t, env, 64)
 	g, err := env.Global(64)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +122,7 @@ func TestRuntimeInterfaceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.PushFrame()
-	l := r.Alloca(16)
+	l := alloca(t, r, 16)
 	if l == 0 {
 		t.Fatal("alloca failed")
 	}

@@ -124,6 +124,45 @@ func TestSessionTraceReplay(t *testing.T) {
 	}
 }
 
+// TestHostileSizeReplayIsAnError: a trace whose alloca sizes exhaust the
+// simulated stack, or whose alloca or malloc sizes wrap the allocator's
+// size rounding, gets an error status naming the event, under every
+// sanitizer, and no session panics.
+func TestHostileSizeReplayIsAnError(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	wrapping, err := trace.Encode([]trace.Event{
+		{Op: trace.OpPush},
+		{Op: trace.OpAlloca, Reg: 1, Size: 1<<64 - 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		data  []byte
+		event string
+	}{
+		{[]byte("GST1\x05\x07000000000000"), "trace: event 2: "},
+		{wrapping, "trace: event 2: "},
+		{[]byte("GST1\x01000000\xff\xff\xff\xff\xff\xff"), "trace: event 1: "},
+	} {
+		for _, label := range []string{"giantsan", "asan", "lfp"} {
+			resp, err := e.Submit(Request{TraceB64: base64.StdEncoding.EncodeToString(c.data), Sanitizer: label})
+			if err != nil {
+				t.Fatalf("submit under %s: %v", label, err)
+			}
+			if resp.Status != StatusError || !strings.Contains(resp.Message, c.event) {
+				t.Errorf("hostile size under %s: status %q (%s), want a trace error at %q", label, resp.Status, resp.Message, c.event)
+			}
+		}
+	}
+	var m bytes.Buffer
+	e.WriteMetrics(&m)
+	if !strings.Contains(m.String(), "gsan_sessions_panicked_total 0") {
+		t.Errorf("a hostile size panicked a session:\n%s", m.String())
+	}
+}
+
 func TestValidation(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Close()

@@ -30,7 +30,7 @@ func TestPushLocalsMatchesAllocaLoop(t *testing.T) {
 		looped.Push()
 		var want []vmem.Addr
 		for _, size := range sizes {
-			want = append(want, looped.Alloca(size))
+			want = append(want, alloca(t, looped, size))
 		}
 		if len(bases) != len(want) {
 			t.Fatalf("PushLocals returned %d bases, want %d", len(bases), len(want))

@@ -10,6 +10,7 @@
 package stack
 
 import (
+	"errors"
 	"fmt"
 
 	"giantsan/internal/oracle"
@@ -22,6 +23,10 @@ const Align = 8
 
 // DefaultRedzone is the per-local redzone size.
 const DefaultRedzone = 16
+
+// ErrExhausted is returned when a local does not fit in the room left on
+// the simulated stack.
+var ErrExhausted = errors.New("stack: simulated stack exhausted")
 
 // local records one stack object within a frame.
 type local struct {
@@ -105,24 +110,22 @@ func (s *Stack) Push() {
 }
 
 // Alloca allocates a local of the given size in the current frame and
-// returns its base. Panics if no frame is open or the stack is exhausted —
-// both are simulator bugs, not application bugs.
-func (s *Stack) Alloca(size uint64) vmem.Addr {
-	return s.AllocaLabeled(size, "")
-}
-
-// AllocaLabeled is Alloca with a diagnostic label.
-func (s *Stack) AllocaLabeled(size uint64, label string) vmem.Addr {
+// returns its base, or ErrExhausted when the local and its redzones do
+// not fit in the room left. Panics if no frame is open, a simulator bug.
+func (s *Stack) Alloca(size uint64) (vmem.Addr, error) {
 	if len(s.frames) == 0 {
 		panic("stack: Alloca without a pushed frame")
 	}
 	if size == 0 {
 		size = 1
 	}
+	// The size is compared before it is rounded: a size near 2^64 would
+	// wrap the rounding (and need) to a small value.
+	room := uint64(s.limit - s.bump)
 	reserved := (size + Align - 1) &^ (Align - 1)
 	need := s.rz + reserved + s.rz
-	if s.bump+vmem.Addr(need) > s.limit {
-		panic(fmt.Sprintf("stack: simulated stack exhausted (need %d bytes)", need))
+	if size > room || need > room {
+		return 0, fmt.Errorf("%w: a %d-byte local does not fit in the %d bytes left", ErrExhausted, size, room)
 	}
 	f := s.frames[len(s.frames)-1]
 	start := s.bump
@@ -134,9 +137,9 @@ func (s *Stack) AllocaLabeled(size uint64, label string) vmem.Addr {
 	s.poisonLocal(start, size)
 	if s.Oracle != nil {
 		tail := reserved - size
-		s.Oracle.Alloc(base, size, s.rz, s.rz+tail, oracle.Stack, label)
+		s.Oracle.Alloc(base, size, s.rz, s.rz+tail, oracle.Stack, "")
 	}
-	return base
+	return base, nil
 }
 
 // poisonLocal lays down one local's shadow image ([redzone][local][tail +

@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"giantsan/internal/oracle"
@@ -49,11 +51,21 @@ func newStack(t *testing.T, cfg Config) (*Stack, *recPoisoner, *oracle.Oracle) {
 	return New(sp, p, cfg), p, o
 }
 
+// alloca is Alloca failing the test when the stack is exhausted.
+func alloca(t *testing.T, s *Stack, size uint64) vmem.Addr {
+	t.Helper()
+	p, err := s.Alloca(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestAllocaLayout(t *testing.T) {
 	s, p, o := newStack(t, Config{})
 	s.Push()
-	a := s.Alloca(20)
-	b := s.Alloca(8)
+	a := alloca(t, s, 20)
+	b := alloca(t, s, 8)
 	if a%8 != 0 || b%8 != 0 {
 		t.Error("locals not aligned")
 	}
@@ -78,19 +90,19 @@ func TestAllocaWithoutFramePanics(t *testing.T) {
 			t.Error("Alloca without frame did not panic")
 		}
 	}()
-	s.Alloca(8)
+	alloca(t, s, 8)
 }
 
 func TestPopRecyclesWithoutUAR(t *testing.T) {
 	s, p, _ := newStack(t, Config{})
 	s.Push()
-	a := s.Alloca(32)
+	a := alloca(t, s, 32)
 	s.Pop()
 	if p.addressable(a, 1) {
 		t.Error("popped local still addressable")
 	}
 	s.Push()
-	b := s.Alloca(32)
+	b := alloca(t, s, 32)
 	if a != b {
 		t.Errorf("expected frame recycling: %#x then %#x", a, b)
 	}
@@ -102,7 +114,7 @@ func TestPopRecyclesWithoutUAR(t *testing.T) {
 func TestPopRetiresWithUAR(t *testing.T) {
 	s, p, _ := newStack(t, Config{DetectUAR: true})
 	s.Push()
-	a := s.Alloca(32)
+	a := alloca(t, s, 32)
 	s.Pop()
 	if p.addressable(a, 1) {
 		t.Error("popped local still addressable")
@@ -111,7 +123,7 @@ func TestPopRetiresWithUAR(t *testing.T) {
 		t.Errorf("last poison kind = %v, want StackAfterReturn", p.last)
 	}
 	s.Push()
-	b := s.Alloca(32)
+	b := alloca(t, s, 32)
 	if a == b {
 		t.Error("UAR mode must not recycle retired addresses")
 	}
@@ -120,9 +132,9 @@ func TestPopRetiresWithUAR(t *testing.T) {
 func TestNestedFrames(t *testing.T) {
 	s, p, _ := newStack(t, Config{})
 	s.Push()
-	outer := s.Alloca(16)
+	outer := alloca(t, s, 16)
 	s.Push()
-	inner := s.Alloca(16)
+	inner := alloca(t, s, 16)
 	if s.Depth() != 2 {
 		t.Errorf("Depth = %d, want 2", s.Depth())
 	}
@@ -152,9 +164,9 @@ func TestPopEmptyPanics(t *testing.T) {
 func TestReset(t *testing.T) {
 	s, p, _ := newStack(t, Config{DetectUAR: true})
 	s.Push()
-	a := s.Alloca(64)
+	a := alloca(t, s, 64)
 	s.Push()
-	s.Alloca(8)
+	alloca(t, s, 8)
 	s.Reset()
 	if s.Depth() != 0 {
 		t.Error("Reset left frames open")
@@ -164,7 +176,7 @@ func TestReset(t *testing.T) {
 	}
 	// The region is reusable after Reset.
 	s.Push()
-	b := s.Alloca(64)
+	b := alloca(t, s, 64)
 	if !p.addressable(b, 64) {
 		t.Error("post-Reset alloca broken")
 	}
@@ -173,8 +185,25 @@ func TestReset(t *testing.T) {
 func TestZeroSizeAlloca(t *testing.T) {
 	s, p, _ := newStack(t, Config{})
 	s.Push()
-	a := s.Alloca(0)
+	a := alloca(t, s, 0)
 	if !p.addressable(a, 1) {
 		t.Error("zero-size local should reserve one byte")
+	}
+}
+
+// TestAllocaExhaustionIsAnError: a local larger than the room left, and
+// one so near 2^64 that rounding it up to Align would wrap, both come
+// back as ErrExhausted and leave the stack as it was.
+func TestAllocaExhaustionIsAnError(t *testing.T) {
+	s, _, _ := newStack(t, Config{})
+	s.Push()
+	before := alloca(t, s, 8)
+	for _, size := range []uint64{1 << 16, math.MaxUint64 - 3, math.MaxUint64} {
+		if p, err := s.Alloca(size); !errors.Is(err, ErrExhausted) {
+			t.Errorf("Alloca(%d) = %#x, %v; want ErrExhausted", size, p, err)
+		}
+	}
+	if after := alloca(t, s, 8); after != before+8+2*DefaultRedzone {
+		t.Errorf("a failed Alloca moved the stack: next local at %#x, want %#x", after, before+8+2*DefaultRedzone)
 	}
 }

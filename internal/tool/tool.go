@@ -132,10 +132,19 @@ func (t *Tool) Malloc(size uint64) vmem.Addr {
 // Free records any free error.
 func (t *Tool) Free(p vmem.Addr) { t.Record(t.RT.Free(p)) }
 
-// PushFrame / Alloca / PopFrame mirror the runtime.
-func (t *Tool) PushFrame()                 { t.RT.PushFrame() }
-func (t *Tool) Alloca(sz uint64) vmem.Addr { return t.RT.Alloca(sz) }
-func (t *Tool) PopFrame()                  { t.RT.PopFrame() }
+// PushFrame / PopFrame mirror the runtime.
+func (t *Tool) PushFrame() { t.RT.PushFrame() }
+func (t *Tool) PopFrame()  { t.RT.PopFrame() }
+
+// Alloca allocates a stack local and, like Malloc, fails the test
+// scenario loudly when the stack is exhausted.
+func (t *Tool) Alloca(size uint64) vmem.Addr {
+	p, err := t.RT.Alloca(size)
+	if err != nil {
+		panic(fmt.Sprintf("tool: alloca(%d): %v", size, err))
+	}
+	return p
+}
 
 // Access checks and (when clean) performs an access of width w at
 // base+off, using the tool's instrumentation semantics: anchored tools

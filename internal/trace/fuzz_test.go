@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,12 +66,10 @@ func FuzzReadAll(f *testing.F) {
 // FuzzReplay: the three ways to replay a trace agree on every input —
 // the in-memory ReplayBytes, the streaming Replay, and ReadAll followed
 // by ReplayEvents. They give the same result (event count and error log)
-// or the same error string. A hostile trace can crash the simulated
-// program (see simulatedCrash), which the service isolates per session;
-// such a crash must be the same crash in every leg, and any other panic
-// fails the target. When decoding fails at event k, the ReadAll leg
-// replays the k-1 events decoded before it, as the streaming legs do, and
-// reports the decode error only if those replay cleanly.
+// or the same error string, and no input makes any of them panic. When
+// decoding fails at event k, the ReadAll leg replays the k-1 events
+// decoded before it, as the streaming legs do, and reports the decode
+// error only if those replay cleanly.
 //
 //	go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/trace
 func FuzzReplay(f *testing.F) {
@@ -78,7 +77,15 @@ func FuzzReplay(f *testing.F) {
 		{Op: OpMalloc, Reg: 0xFFFFFFFF, Size: 16},
 		{Op: OpAccess, Reg: 0xFFFFFFFF, Off: 16, Width: 1},
 		{Op: OpFree, Reg: 0xFFFFFFFE},
+	}, []Event{
+		{Op: OpPush},
+		{Op: OpAlloca, Reg: 1, Size: math.MaxUint64 - 3},
 	})
+	// A push and an alloca whose register and size are ASCII '0' bytes,
+	// which exhausts the simulated stack, and a malloc of 0xFFFFFFFFFFFF3030
+	// bytes, whose chunk rounding would wrap.
+	f.Add([]byte("GST1\x05\x07000000000000"))
+	f.Add([]byte("GST1\x01000000\xff\xff\xff\xff\xff\xff"))
 	newEnv := func() rt.Runtime { return rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: 1 << 16}) }
 	outcome := func(res *ReplayResult, err error) string {
 		if err != nil {
@@ -92,48 +99,23 @@ func FuzzReplay(f *testing.F) {
 		}
 		return b.String()
 	}
-	// leg runs one replay, turning a crash of the simulated program into
-	// its outcome and re-raising every other panic.
-	leg := func(run func() (*ReplayResult, error)) (out string) {
-		defer func() {
-			if v := recover(); v != nil {
-				if !simulatedCrash(v) {
-					panic(v)
-				}
-				out = fmt.Sprint("panic: ", v)
-			}
-		}()
-		return outcome(run())
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		inMemory := leg(func() (*ReplayResult, error) { return ReplayBytes(data, newEnv(), true) })
-		streamed := leg(func() (*ReplayResult, error) { return Replay(bytes.NewReader(data), newEnv(), true) })
+		inMemory := outcome(ReplayBytes(data, newEnv(), true))
+		streamed := outcome(Replay(bytes.NewReader(data), newEnv(), true))
 		prefix, decodeErr := readPrefix(data)
 		if _, err := ReadAll(bytes.NewReader(data)); fmt.Sprint(err) != fmt.Sprint(decodeErr) {
 			t.Fatalf("ReadAll error %v, Next loop error %v", err, decodeErr)
 		}
-		decoded := leg(func() (*ReplayResult, error) {
-			res, err := ReplayEvents(prefix, newEnv(), true)
-			if err == nil && decodeErr != nil {
-				return nil, decodeErr
-			}
-			return res, err
-		})
+		res, err := ReplayEvents(prefix, newEnv(), true)
+		if err == nil && decodeErr != nil {
+			err = decodeErr
+		}
+		decoded := outcome(res, err)
 		if inMemory != streamed || inMemory != decoded {
 			t.Fatalf("replays disagree\nReplayBytes:          %s\nReplay:               %s\nReadAll+ReplayEvents: %s",
 				inMemory, streamed, decoded)
 		}
 	})
-}
-
-// simulatedCrash reports whether a replay panic is one a trace can raise
-// in the simulated program itself: an alloca past the simulated stack, or
-// one whose size lies so near 2^64 that the stack's size rounding wraps,
-// slips past the exhaustion check and overruns the shadow in Fill64.
-func simulatedCrash(v any) bool {
-	msg, _ := v.(string)
-	return strings.HasPrefix(msg, "stack: simulated stack exhausted (") ||
-		strings.HasPrefix(msg, "shadow: Fill64 span [")
 }
 
 // readPrefix decodes data with Next until the first error, returning the

@@ -85,12 +85,15 @@ func (r *Recorder) PushFrame() {
 }
 
 // Alloca implements rt.Runtime.
-func (r *Recorder) Alloca(size uint64) vmem.Addr {
-	p := r.inner.Alloca(size)
+func (r *Recorder) Alloca(size uint64) (vmem.Addr, error) {
+	p, err := r.inner.Alloca(size)
+	if err != nil {
+		return 0, err
+	}
 	reg, werr := r.w.Alloca(size)
 	r.note(werr)
 	r.regs[p] = reg
-	return p
+	return p, nil
 }
 
 // PopFrame implements rt.Runtime.

@@ -356,7 +356,11 @@ func (rp *replayer) apply(ev Event) error {
 		if rp.frames == 0 {
 			return fmt.Errorf("trace: event %d: alloca outside frame", rp.res.Events)
 		}
-		rp.regs[ev.Reg] = rp.run.Alloca(ev.Size)
+		p, err := rp.run.Alloca(ev.Size)
+		if err != nil {
+			return fmt.Errorf("trace: event %d: %w", rp.res.Events, err)
+		}
+		rp.regs[ev.Reg] = p
 	case OpFree:
 		p, ok := rp.regs[ev.Reg]
 		if !ok {

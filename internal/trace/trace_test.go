@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -144,6 +145,49 @@ func TestMalformedStreams(t *testing.T) {
 	w3.Flush()
 	if _, err := Replay(bytes.NewReader(buf3.Bytes()), env(), true); err == nil {
 		t.Error("unbalanced pop accepted")
+	}
+}
+
+// TestHostileSizesAreReplayErrors: an allocation size chosen by the
+// trace that the runtime cannot hold — an alloca that exhausts the
+// simulated stack, or an alloca or malloc so near 2^64 that the
+// allocator's size rounding would wrap — fails the replay with a trace
+// error at that event, under every runtime and from both feeders.
+func TestHostileSizesAreReplayErrors(t *testing.T) {
+	runtimes := map[string]func() rt.Runtime{
+		"giantsan": func() rt.Runtime { return rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: 1 << 16}) },
+		"asan":     func() rt.Runtime { return rt.New(rt.Config{Kind: rt.ASan, HeapBytes: 1 << 16}) },
+		"lfp":      func() rt.Runtime { return lfp.New(lfp.Config{HeapBytes: 1 << 20, MaxClass: 1 << 16}) },
+	}
+	encode := func(events ...Event) []byte {
+		enc, err := Encode(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		// FuzzReplay's finds: a push, then an alloca, or a malloc, whose
+		// register and size are ASCII '0' bytes (and 0xFF bytes).
+		{"exhausting alloca", []byte("GST1\x05\x07000000000000"), "trace: event 2: "},
+		{"wrapping alloca", encode(Event{Op: OpPush}, Event{Op: OpAlloca, Reg: 1, Size: math.MaxUint64 - 3}), "trace: event 2: "},
+		{"wrapping malloc", []byte("GST1\x01000000\xff\xff\xff\xff\xff\xff"), "trace: event 1: "},
+	}
+	for _, c := range cases {
+		for label, env := range runtimes {
+			for feeder, replay := range map[string]func() (*ReplayResult, error){
+				"ReplayBytes": func() (*ReplayResult, error) { return ReplayBytes(c.data, env(), true) },
+				"Replay":      func() (*ReplayResult, error) { return Replay(bytes.NewReader(c.data), env(), true) },
+			} {
+				if _, err := replay(); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+					t.Errorf("%s under %s via %s: err = %v, want %q...", c.name, label, feeder, err, c.want)
+				}
+			}
+		}
 	}
 }
 
