@@ -17,7 +17,6 @@
 //	hotpath     checker hot paths: ns/check, shadow-loads/check → BENCH_hotpath.json
 //	metapath    allocation metadata path: ns/op, shadow-stores/op → BENCH_metapath.json
 //	tiers       service tier ladder: cost vs detection → BENCH_tiers.json
-//	shards      in-process scale-out and arena residency → BENCH_shards.json
 //	federation  multi-process scale-out and failover → BENCH_federation.json
 //	fuzz        guided vs blind fuzzing, executions to detection → BENCH_fuzz.json
 //	fig11       Figure 11: traversal study with the §5.4 mitigation (-reps)
@@ -38,7 +37,6 @@
 //
 //	metapath    every GiantSan churn's fast-vs-reference speedup ≥ metapath.MinSpeedup (1.0)
 //	tiers       cost strictly monotone down the ladder, detection never increasing
-//	shards      highest shard count ≥ shards.MinSpeedup (3.0), residency ∝ dirtied pages
 //	federation  ≥ federation.MinSpeedup2 (1.8) at 2 and MinSpeedup4 (3.0) at 4
 //	            backends, lossless ~1/N failover
 //	fuzz        guided detects every class, geomean ≥ fuzzbench.MinGeomean (1.5)
@@ -81,7 +79,6 @@ import (
 	"giantsan/internal/bench/fuzzbench"
 	"giantsan/internal/bench/hotpath"
 	"giantsan/internal/bench/metapath"
-	"giantsan/internal/bench/shards"
 	"giantsan/internal/flaws"
 	"giantsan/internal/juliet"
 	"giantsan/internal/magma"
@@ -158,7 +155,6 @@ func table2(name string, ablation bool, caption string) experiment {
 var (
 	quarantineBudgets = []uint64{96, 960, 9600, 96000, 1 << 20}
 	fig11Sizes        = []uint64{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10}
-	scaleOutCounts    = []int{1, 2, 4}
 )
 
 const quarantinePressure = 200
@@ -210,18 +206,10 @@ var registry = []experiment{
 		artifact: true,
 		check:    bench.CheckMonotone,
 	}.row(),
-	exp[*shards.Report]{
-		name:     "shards",
-		caption:  "Service scale-out — virtual-clock makespan per shard count, forked-arena shadow residency",
-		run:      func(params) (*shards.Report, error) { return shards.Run(scaleOutCounts, 0) },
-		render:   shards.Render,
-		artifact: true,
-		check:    func(r *shards.Report) error { return shards.Check(r, shards.MinSpeedup) },
-	}.row(),
 	exp[*federation.Report]{
 		name:     "federation",
 		caption:  "Multi-process federation — routed makespan per backend count, proxy overhead, kill-one failover",
-		run:      func(params) (*federation.Report, error) { return federation.Run(scaleOutCounts, 0) },
+		run:      func(params) (*federation.Report, error) { return federation.Run(nil, 0) },
 		render:   federation.Render,
 		artifact: true,
 		check: func(r *federation.Report) error {

@@ -13,7 +13,6 @@ import (
 	"giantsan/internal/bench/fuzzbench"
 	"giantsan/internal/bench/hotpath"
 	"giantsan/internal/bench/metapath"
-	"giantsan/internal/bench/shards"
 	"giantsan/internal/flaws"
 )
 
@@ -165,11 +164,6 @@ func TestChecksHoldTheirFloors(t *testing.T) {
 				rep.Speedup["giantsan/"+ch.Name] = metapath.MinSpeedup
 			}
 			rep.Speedup["giantsan/fresh"] += d
-			return rep
-		}},
-		{"shards", func(t *testing.T, d float64) any {
-			rep := load[shards.Report](t, "shards")
-			rep.Scaling[len(rep.Scaling)-1].Speedup = shards.MinSpeedup + d
 			return rep
 		}},
 		{"federation", func(t *testing.T, d float64) any {

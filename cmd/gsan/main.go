@@ -10,7 +10,7 @@
 //	gsan -workload 505.mcf_r -tier sampled
 //	gsan -workload 505.mcf_r -record run.trace
 //	gsan -replay run.trace -san asan
-//	gsan -serve :8080 [-serve-shards N] [-serve-workers N] [-serve-queue N]
+//	gsan -serve :8080 [-serve-workers N] [-serve-queue N]
 //	     [-max-heap-bytes N] [-tier-budget-ns N] [-tier-window N] [-serve-canary]
 //	gsan -serve :8080 -federate http://b1:8081,http://b2:8082
 //	     [-federate-health-interval D] [-federate-connect-timeout D]
@@ -29,9 +29,8 @@
 // -federate turns serve mode into a federation front-end: the process
 // executes no sessions itself but routes each POST /sessions to one of
 // the listed backend gsan -serve processes by consistent hash of the
-// tenant — the same ring sharded deployments use in-process, one level
-// up. Backends are health-checked and ejected from the ring when down or
-// draining (~1/N of tenants remap, the rest stay put); a session whose
+// tenant. Backends are health-checked and ejected from the ring when down
+// or draining (~1/N of tenants remap, the rest stay put); a session whose
 // backend connection never completed is retried once on its re-ringed
 // placement, while accepted sessions are never retried. GET /metrics on
 // the front-end federates the backends' metrics: aggregate gsan_*
@@ -89,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	record := fs.String("record", "", "record the run to a trace file")
 	replay := fs.String("replay", "", "replay a trace file instead of running a workload")
 	serve := fs.String("serve", "", "serve the sanitization service on this address (e.g. :8080)")
-	serveShards := fs.Int("serve-shards", 1, "serve mode: independent engine shards; sessions route by consistent hash of tenant (worker/queue totals divide across shards)")
 	serveWorkers := fs.Int("serve-workers", 0, "serve mode: concurrent session executors (0 = GOMAXPROCS)")
 	serveQueue := fs.Int("serve-queue", 0, "serve mode: admission queue depth (0 = 64)")
 	maxHeapBytes := fs.Uint64("max-heap-bytes", 0, "serve mode: cap on a session's scaled heap (0 = 4 GiB)")
@@ -144,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case *serve == "":
 			fmt.Fprintln(stderr, "gsan: -federate requires -serve (the front-end is a serve-mode deployment)")
 			return 2
-		case *serveShards > 1:
-			fmt.Fprintln(stderr, "gsan: -federate and -serve-shards are mutually exclusive: the front-end executes nothing locally; shard the backends instead")
-			return 2
 		case *serveCanary:
 			fmt.Fprintln(stderr, "gsan: -federate and -serve-canary are mutually exclusive: the front-end has no engine to validate; run the canary on the backends")
 			return 2
@@ -180,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	case *serve != "":
-		return serveHTTP(*serve, *serveShards, fedCfg, service.Config{
+		return serveHTTP(*serve, fedCfg, service.Config{
 			Workers:        *serveWorkers,
 			QueueDepth:     *serveQueue,
 			MaxHeapBytes:   *maxHeapBytes,
@@ -256,12 +251,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // serveHTTP runs the sanitization service until SIGINT/SIGTERM, then
 // drains: stop admitting, finish in-flight sessions, shut the listener
-// down cleanly. shards > 1 runs a consistent-hash sharded deployment
-// behind the same HTTP surface; the cfg capacity knobs are totals that
-// divide across shards. A non-nil fed runs the process as a federation
-// front-end instead: no local engines, sessions proxy to the backend
-// processes by the same consistent-hash routing.
-func serveHTTP(addr string, shards int, fed *service.FederationConfig, cfg service.Config, stdout, stderr io.Writer) int {
+// down cleanly. A non-nil fed runs the process as a federation front-end
+// instead: no local engine, sessions proxy to the backend processes by
+// consistent hash of their tenant.
+func serveHTTP(addr string, fed *service.FederationConfig, cfg service.Config, stdout, stderr io.Writer) int {
 	var handler *service.Server
 	switch {
 	case fed != nil:
@@ -272,13 +265,10 @@ func serveHTTP(addr string, shards int, fed *service.FederationConfig, cfg servi
 		}
 		handler = service.NewFederatedServer(rb)
 		fmt.Fprintf(stdout, "gsan: federating over %d backends, sessions route by tenant\n", len(fed.Members))
-	case shards > 1:
-		handler = service.NewShardedServer(service.NewShardSet(shards, cfg))
-		fmt.Fprintf(stdout, "gsan: %d shards, sessions route by tenant\n", shards)
 	default:
 		handler = service.NewServer(service.New(cfg))
 	}
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := newHTTPServer(addr, handler)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -306,6 +296,25 @@ func serveHTTP(addr string, shards int, fed *service.FederationConfig, cfg servi
 		handler.Close()
 		return 1
 	}
+}
+
+// Connection bounds of the serve-mode listener. A client gets
+// readHeaderTimeout to send its request headers, so one that trickles
+// them (or never finishes) cannot hold a connection open; a request body
+// is not bounded by time, since an honest replay upload can be tens of
+// megabytes (maxSessionBody in internal/service bounds its size). An
+// idle keep-alive connection is closed after idleTimeout, which is longer
+// than the federation front-end's 90 s idle-pool timeout, so a front-end
+// always drops an idle connection before its backend does and never
+// sends a session down a connection the backend is closing.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the serve-mode http.Server with its connection bounds.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // canaryCampaign runs a one-shot differential validation campaign: the

@@ -26,7 +26,6 @@ func TestConflictingFlags(t *testing.T) {
 		{"list+serve", []string{"-list", "-serve", ":0"}, "-list cannot be combined"},
 		{"serve+replay", []string{"-serve", ":0", "-replay", "x.trace"}, "pick one mode"},
 		{"federate-no-serve", []string{"-federate", "http://127.0.0.1:1"}, "-federate requires -serve"},
-		{"federate+shards", []string{"-serve", ":0", "-serve-shards", "2", "-federate", "http://127.0.0.1:1"}, "mutually exclusive"},
 		{"federate+canary", []string{"-serve", ":0", "-serve-canary", "-federate", "http://127.0.0.1:1"}, "mutually exclusive"},
 		{"federate-empty", []string{"-serve", ":0", "-federate", " , "}, "at least one backend URL"},
 	} {

@@ -5,19 +5,16 @@
 // remaps. The committed artifact is BENCH_federation.json.
 //
 // Methodology. The suite stands up real backend processes in miniature —
-// each an httptest server wrapping a sharded service (NewShardedServer
-// over a 2-way ShardSet), the exact handler `gsan -serve -serve-shards 2`
-// runs — and routes a multi-tenant session batch through a real
-// RemoteBackend front-end. As in the shards suite, scaling is measured on
-// the deterministic virtual clock: every session's bill is
-// machine-independent, and makespan is the slowest execution lane's
-// summed bill, where a lane is one (backend, shard) pair — the unit that
-// actually drains sessions in parallel. One backend is two lanes; four
-// backends are eight. The speedup column is therefore a statement about
-// two stacked consistent-hash placements (tenant -> backend, then tenant
-// -> shard), and is byte-identical across machines. The proxy's added
-// latency (front-end wall minus the backend's own wall) is wall-clock and
-// reported, never gated.
+// each an httptest server wrapping a one-worker engine (NewServer over
+// New), the handler `gsan -serve -serve-workers 1` runs — and routes a
+// multi-tenant session batch through a real RemoteBackend front-end.
+// Scaling is measured on the deterministic virtual clock: every session's
+// bill is machine-independent, and makespan is the slowest backend's
+// summed bill, a backend being the unit that drains sessions in parallel.
+// The speedup column is therefore a statement about the consistent-hash
+// placement of tenants onto backends, and is byte-identical across
+// machines. The proxy's added latency (front-end wall minus the backend's
+// own wall) is wall-clock and reported, never gated.
 //
 // The failover table reruns the batch at the highest backend count after
 // killing one backend and letting the health sweep eject it: zero
@@ -35,14 +32,10 @@ import (
 	"giantsan/internal/texttable"
 )
 
-// DefaultTenants is the routed tenant population, matching the shards
-// suite so the two artifacts describe the same batch.
+// DefaultTenants is the routed tenant population: large enough that
+// consistent-hash placement noise averages out, small enough to keep the
+// suite in smoke-test territory.
 const DefaultTenants = 96
-
-// ShardsPerBackend is each backend process's internal shard count — the
-// point of the exercise is that federation composes with, rather than
-// replaces, in-process sharding.
-const ShardsPerBackend = 2
 
 // MinSpeedup2 and MinSpeedup4 are the CI gate's floors: the routed-batch
 // makespan speedups Check demands at two and at four backends.
@@ -52,23 +45,21 @@ const (
 )
 
 // workloads is the session mix, reused round-robin across tenants: the
-// same four kernels the shards and tiers suites bill.
+// same four kernels the tiers suite bills.
 func workloads() []string {
 	return []string{"505.mcf_r", "523.xalancbmk_r", "519.lbm_r", "557.xz_r"}
 }
 
 // ScalingRow is one backend count's measurement.
 type ScalingRow struct {
-	Backends         int `json:"backends"`
-	ShardsPerBackend int `json:"shardsPerBackend"`
-	Sessions         int `json:"sessions"`
+	Backends int `json:"backends"`
+	Sessions int `json:"sessions"`
 	// TotalVirtualNs is the summed virtual bill of every session —
 	// identical at every backend count (routing moves work, never changes
 	// it; Run enforces this).
 	TotalVirtualNs int64 `json:"totalVirtualNs"`
-	// MakespanNs is the slowest (backend, shard) lane's summed virtual
-	// bill: the batch's virtual completion time with every lane draining
-	// in parallel.
+	// MakespanNs is the slowest backend's summed virtual bill: the batch's
+	// virtual completion time with every backend draining in parallel.
 	MakespanNs int64 `json:"makespanNs"`
 	// Speedup is row-1's makespan over this row's (1.0 for one backend).
 	Speedup float64 `json:"speedup"`
@@ -120,7 +111,7 @@ type outcome struct {
 // cluster is one benchmark deployment: n live backend servers and the
 // front-end routing to them.
 type cluster struct {
-	sets    []*service.ShardSet
+	engines []*service.Engine
 	servers []*httptest.Server
 	rb      *service.RemoteBackend
 }
@@ -129,9 +120,9 @@ func startCluster(n, tenants int) (*cluster, error) {
 	c := &cluster{}
 	members := make([]service.BackendMember, n)
 	for i := 0; i < n; i++ {
-		set := service.NewShardSet(ShardsPerBackend, service.Config{Workers: 1, QueueDepth: tenants})
-		srv := httptest.NewServer(service.NewShardedServer(set))
-		c.sets = append(c.sets, set)
+		eng := service.New(service.Config{Workers: 1, QueueDepth: tenants})
+		srv := httptest.NewServer(service.NewServer(eng))
+		c.engines = append(c.engines, eng)
 		c.servers = append(c.servers, srv)
 		// Stable names decouple ring placement from the ephemeral httptest
 		// ports, so placement is identical across runs and machines. The
@@ -163,8 +154,8 @@ func (c *cluster) close() {
 	for _, srv := range c.servers {
 		srv.Close()
 	}
-	for _, set := range c.sets {
-		set.Close()
+	for _, eng := range c.engines {
+		eng.Close()
 	}
 }
 
@@ -195,13 +186,12 @@ func Run(counts []int, tenants int) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("federation: backends=%d: %w", n, err)
 		}
-		row := ScalingRow{Backends: n, ShardsPerBackend: ShardsPerBackend,
-			Sessions: tenants, SessionsPerBackend: make([]int, n)}
+		row := ScalingRow{Backends: n, Sessions: tenants, SessionsPerBackend: make([]int, n)}
 		byBackend := make(map[string]int, n)
 		for i := range c.servers {
 			byBackend[fmt.Sprintf("proc-%d", i)] = i
 		}
-		lanes := make(map[string]int64) // (backend, shard) -> summed bill
+		perBackend := make([]int64, n) // summed bill per backend
 		outs := make([]outcome, tenants)
 		placement := make([]string, tenants)
 		var overheadNs int64
@@ -221,18 +211,18 @@ func Run(counts []int, tenants int) (*Report, error) {
 				return nil, fmt.Errorf("federation: backends=%d tenant-%d: response carries no backend stamp", n, i)
 			}
 			bi, ok := byBackend[resp.Backend]
-			if !ok || resp.Shard < 0 || resp.Shard >= ShardsPerBackend {
+			if !ok {
 				c.close()
-				return nil, fmt.Errorf("federation: backends=%d tenant-%d: impossible placement %s/shard-%d", n, i, resp.Backend, resp.Shard)
+				return nil, fmt.Errorf("federation: backends=%d tenant-%d: impossible placement %s", n, i, resp.Backend)
 			}
 			row.TotalVirtualNs += resp.VirtualNs
 			row.SessionsPerBackend[bi]++
-			lanes[fmt.Sprintf("%s/%d", resp.Backend, resp.Shard)] += resp.VirtualNs
+			perBackend[bi] += resp.VirtualNs
 			overheadNs += time.Since(t0).Nanoseconds() - resp.WallNs
 			outs[i] = outcome{resp.Status, resp.VirtualNs, resp.Checksum, resp.ErrorTotal}
 			placement[i] = resp.Backend
 		}
-		for _, ns := range lanes {
+		for _, ns := range perBackend {
 			if ns > row.MakespanNs {
 				row.MakespanNs = ns
 			}
@@ -365,10 +355,9 @@ func Check(rep *Report, min2, min4 float64) error {
 
 // Render renders the report as tables.
 func Render(rep *Report) string {
-	tb := texttable.New("Backends", "Lanes", "Sessions", "Makespan", "Speedup", "ProxyOverhead", "Placement")
+	tb := texttable.New("Backends", "Sessions", "Makespan", "Speedup", "ProxyOverhead", "Placement")
 	for _, r := range rep.Scaling {
 		tb.Add(fmt.Sprintf("%d", r.Backends),
-			fmt.Sprintf("%d", r.Backends*r.ShardsPerBackend),
 			fmt.Sprintf("%d", r.Sessions),
 			fmt.Sprintf("%dns", r.MakespanNs), fmt.Sprintf("%.2fx", r.Speedup),
 			fmt.Sprintf("%dns", r.ProxyMeanOverheadNs),

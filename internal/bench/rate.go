@@ -17,6 +17,8 @@ type RateResult struct {
 	Elapsed time.Duration
 	// Throughput is copies per second of wall time.
 	Throughput float64
+	// Results holds each copy's outcome, in copy order.
+	Results []*interp.Result
 }
 
 // RateRun executes copies instances of (workload, config) concurrently.
@@ -58,6 +60,10 @@ func RateRun(w *workload.Workload, cfg SanConfig, scale, copies int) (RateResult
 		Copies:     copies,
 		Elapsed:    elapsed,
 		Throughput: float64(copies) / elapsed.Seconds(),
+		Results:    make([]*interp.Result, copies),
+	}
+	for i, o := range outs {
+		res.Results[i] = o.res
 	}
 	// The run completed and was measured even if copies reported errors:
 	// return the measurement alongside the failure. outs is scanned in

@@ -112,7 +112,8 @@ func (e *Env) ShadowBytes() int {
 // OverlayStats reports the resident overlay footprint of the Env's shadow:
 // privatized pages and their bytes. Zero for a fresh Fork and right after
 // Reset, the whole plane for a fresh New — the "per-tenant memory
-// proportional to dirtied pages" number the shards bench artifact records.
+// proportional to dirtied pages" number TestForkResidencyTracksDirtiedPages
+// pins on a real kernel.
 func (e *Env) OverlayStats() (pages int, bytes int) {
 	if sh, ok := e.san.(shadowed); ok {
 		return sh.Shadow().OverlayStats()

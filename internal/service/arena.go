@@ -4,9 +4,9 @@
 // trace replay, under a chosen sanitizer, scale and virtual-clock
 // deadline — to a pooled execution arena, and the engine around it
 // provides bounded admission with backpressure, panic isolation, graceful
-// drain, and a Prometheus-text metrics surface. Engines scale out
-// horizontally as shards (see shards.go), each owning its own pool and
-// admission queue.
+// drain, and a Prometheus-text metrics surface. The service scales out
+// as separate processes behind a federating front-end (see
+// federation.go), each process owning its own pool and admission queue.
 //
 // The arena pool is the headline performance piece: a sanitizer runtime's
 // dominant allocation is its shadow (one byte per 8-byte segment over the

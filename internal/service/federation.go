@@ -21,12 +21,11 @@ import (
 // Multi-process federation: a RemoteBackend is the router half of
 // `gsan -serve -federate http://b1,http://b2,...` — it satisfies the same
 // Backend seam the HTTP layer serves, but Submit proxies the session to a
-// backend gsan -serve process chosen by the same consistent-hash ring the
-// in-process ShardSet routes with (keyed on tenant → workload → trace).
-// There is no new wire format: the Request/Response JSON schema already
-// carries everything, including tier resolution and the backend's own
-// Shard stamp, so a front-end composes with backends that are themselves
-// sharded (`-serve-shards`) or federated observability-wise untouched.
+// backend gsan -serve process chosen by the consistent-hash ring in
+// ring.go (keyed on tenant → workload → trace). There is no new wire
+// format: the Request/Response JSON schema already carries everything,
+// including tier resolution, and the front-end only adds the Backend
+// stamp.
 //
 // Failure semantics, precisely:
 //
@@ -113,7 +112,7 @@ type fedRing struct {
 
 // RemoteBackend routes sessions to remote gsan -serve processes. It
 // implements Backend, so NewFederatedServer serves it over the same HTTP
-// surface as an Engine or ShardSet.
+// surface as an Engine.
 type RemoteBackend struct {
 	cfg     FederationConfig
 	members []*remoteMember

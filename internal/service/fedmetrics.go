@@ -11,13 +11,12 @@ import (
 	"strings"
 )
 
-// Metrics federation mirrors the per-shard snapshot contract one level
-// up: the front-end scrapes each backend's /metrics at render time, sums
-// the samples into the aggregate families a single engine would expose
-// (same names, so dashboards work unchanged), and follows them with
-// per-backend gsan_backend_* families whose samples sum exactly to the
-// aggregate — exact because both views are computed from the same set of
-// scrapes, never from two reads racing live counters.
+// Metrics federation: the front-end scrapes each backend's /metrics at
+// render time, sums the samples into the aggregate families a single
+// engine would expose (same names, so dashboards work unchanged), and
+// follows them with per-backend gsan_backend_* families whose samples sum
+// exactly to the aggregate — exact because both views are computed from
+// the same set of scrapes, never from two reads racing live counters.
 
 // promSample is one parsed exposition sample: the label block verbatim
 // ("" or "{k=\"v\",...}") and its integer value (every gsan family
@@ -89,9 +88,8 @@ func parseProm(text string, fams map[string]*promFamily, order *[]string) error 
 	return sc.Err()
 }
 
-// maxScrapeBytes caps one backend /metrics read. An 8-shard engine's
-// exposition is about 10 KB, so 1 MiB leaves two orders of magnitude of
-// headroom while keeping a broken or hostile backend from making the
+// maxScrapeBytes caps one backend /metrics read. An engine's exposition
+// is under 10 KB, so 1 MiB leaves two orders of magnitude of headroom while keeping a broken or hostile backend from making the
 // front-end buffer without bound.
 const maxScrapeBytes = 1 << 20
 
@@ -122,13 +120,12 @@ func (rb *RemoteBackend) scrape(m *remoteMember) (string, error) {
 
 // backendScalar extracts the label-less gsan_* families from one
 // backend's parse — the ones that get a gsan_backend_* twin. Labeled
-// families (per-sanitizer, per-tier, per-shard) stay aggregate-only, the
-// same split the per-shard contract makes.
+// families (per-sanitizer, per-tier, per-kind) stay aggregate-only.
 func backendScalar(fams map[string]*promFamily, order []string) []*promFamily {
 	var out []*promFamily
 	for _, name := range order {
 		f := fams[name]
-		if !strings.HasPrefix(name, "gsan_") || strings.HasPrefix(name, "gsan_shard_") {
+		if !strings.HasPrefix(name, "gsan_") {
 			continue
 		}
 		if len(f.samples) == 1 && f.samples[0].labels == "" {
@@ -141,10 +138,7 @@ func backendScalar(fams map[string]*promFamily, order []string) []*promFamily {
 // WriteMetrics renders the federation view: the exact-sum aggregate of
 // every backend's families under their original names, per-backend
 // gsan_backend_* twins of the scalar families, and the front-end's own
-// proxy families (routing, health, retry and scrape counters). The
-// backends' gsan_shard_* families are not re-exported — a shard index is
-// only meaningful within its process; scrape the backend directly for
-// shard-level detail.
+// proxy families (routing, health, retry and scrape counters).
 func (rb *RemoteBackend) WriteMetrics(w io.Writer) {
 	agg := make(map[string]*promFamily)
 	var aggOrder []string
@@ -181,14 +175,8 @@ func (rb *RemoteBackend) WriteMetrics(w io.Writer) {
 	// Aggregate families under their original names, sorted for stable
 	// scrapes (backends may expose different subsets, e.g. the canary
 	// families on one backend only).
-	names := make([]string, 0, len(aggOrder))
+	sort.Strings(aggOrder)
 	for _, n := range aggOrder {
-		if !strings.HasPrefix(n, "gsan_shard_") {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
 		f := agg[n]
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		sort.Slice(f.samples, func(a, b int) bool { return f.samples[a].labels < f.samples[b].labels })

@@ -10,9 +10,8 @@ import (
 	"giantsan/internal/workload"
 )
 
-// Backend is the session surface the HTTP layer serves: a single Engine,
-// a ShardSet, or a federating RemoteBackend — the handlers cannot tell
-// them apart.
+// Backend is the session surface the HTTP layer serves: a single Engine
+// or a federating RemoteBackend — the handlers cannot tell them apart.
 type Backend interface {
 	Submit(Request) (*Response, error)
 	WriteMetrics(io.Writer)
@@ -24,12 +23,12 @@ type Backend interface {
 	Close()
 }
 
-// Server is the HTTP/JSON front-end over a Backend (the gsan -serve /
-// -serve-shards surface):
+// Server is the HTTP/JSON front-end over a Backend (the gsan -serve
+// surface):
 //
 //	POST /sessions  — run one session; body is a Request, reply a Response
 //	GET  /metrics   — Prometheus text exposition of the engine counters
-//	                  (plus per-shard gsan_shard_* families when sharded)
+//	                  (federated over the backends on a front-end)
 //	GET  /workloads — the runnable workload IDs, one JSON array
 //	GET  /healthz   — liveness probe
 //
@@ -44,7 +43,7 @@ type Backend interface {
 // its own failure in-band as status "error".
 type Server struct {
 	backend Backend
-	eng     *Engine // nil when the backend is a ShardSet
+	eng     *Engine // nil on a federation front-end
 	mux     *http.ServeMux
 }
 
@@ -54,10 +53,6 @@ func NewServer(eng *Engine) *Server {
 	s.eng = eng
 	return s
 }
-
-// NewShardedServer wraps a shard set in the same HTTP surface: sessions
-// route by tenant key, /metrics adds the per-shard families.
-func NewShardedServer(set *ShardSet) *Server { return newServer(set) }
 
 // NewFederatedServer wraps a remote-backend router in the same HTTP
 // surface: sessions proxy to backend processes by tenant key, /metrics
@@ -76,19 +71,19 @@ func newServer(b Backend) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Engine returns the wrapped engine, or nil for a sharded server (use
-// Close for shutdown wiring; it drains either backend).
+// Engine returns the wrapped engine, or nil for a federation front-end
+// (use Close for shutdown wiring; it drains either backend).
 func (s *Server) Engine() *Engine { return s.eng }
 
 // Close drains the backend.
 func (s *Server) Close() { s.backend.Close() }
 
+// writeJSON writes v as one compact JSON line: replies are read by
+// programs, and indenting them cost 7% of a replay session's CPU.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 type errorBody struct {

@@ -10,12 +10,11 @@ import (
 	"giantsan/internal/san"
 )
 
-// Metrics are rendered from immutable snapshots so that one writer serves
-// both surfaces: a single Engine renders its own snapshot, and a ShardSet
-// renders the element-wise sum of its shards' snapshots as the aggregate,
-// followed by per-shard families. Summing snapshots (instead of
-// interleaving live reads) is what makes the shards-sum-to-aggregate
-// property exact: both views come from the same instant's numbers.
+// Metrics are rendered from an immutable snapshot: the engine's counters
+// are read once, completed before started, and the exposition is written
+// from that copy, so no family in one scrape can race another. A
+// federating front-end (fedmetrics.go) sums its backends' scrapes of this
+// exposition into the same family names.
 
 // engineSnapshot is one engine's full metric state at a point in time.
 type engineSnapshot struct {
@@ -60,58 +59,6 @@ func (e *Engine) snapshot() engineSnapshot {
 	return s
 }
 
-// sumSnapshots folds shard snapshots into one aggregate view.
-func sumSnapshots(snaps []engineSnapshot) engineSnapshot {
-	agg := engineSnapshot{
-		perSan:   make(map[string]san.Stats),
-		perTier:  make(map[string]uint64),
-		errKinds: make(map[string]uint64),
-	}
-	for _, s := range snaps {
-		agg.started += s.started
-		agg.completed += s.completed
-		agg.rejected += s.rejected
-		agg.timedout += s.timedout
-		agg.panicked += s.panicked
-		agg.downgraded += s.downgraded
-		agg.queueDepth += s.queueDepth
-		agg.arenas.Hits += s.arenas.Hits
-		agg.arenas.Misses += s.arenas.Misses
-		agg.arenas.Dropped += s.arenas.Dropped
-		agg.arenas.Size += s.arenas.Size
-		agg.arenas.Keys += s.arenas.Keys
-		for l, st := range s.perSan {
-			cur := agg.perSan[l]
-			cur.Add(&st)
-			agg.perSan[l] = cur
-		}
-		for n, v := range s.perTier {
-			agg.perTier[n] += v
-		}
-		for k, v := range s.errKinds {
-			agg.errKinds[k] += v
-		}
-		if s.canary != nil {
-			if agg.canary == nil {
-				agg.canary = &canary.Counters{}
-			}
-			c := *agg.canary
-			c.Runs += s.canary.Runs
-			c.Discrepancies += s.canary.Discrepancies
-			c.ShrinkSteps += s.canary.ShrinkSteps
-			c.ShrinkReplays += s.canary.ShrinkReplays
-			c.ArtifactsWritten += s.canary.ArtifactsWritten
-			c.Failures += s.canary.Failures
-			if s.canary.MinReproEvents > c.MinReproEvents {
-				c.MinReproEvents = s.canary.MinReproEvents
-			}
-			agg.canary = &c
-			agg.canarySkipped += s.canarySkipped
-		}
-	}
-	return agg
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -121,10 +68,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// writeAggregate renders one snapshot as the service-level metric families.
-// Output order is deterministic (struct field order, sorted label values)
-// so scrapes diff cleanly.
-func writeAggregate(w io.Writer, s engineSnapshot) {
+// WriteMetrics renders the engine's state in Prometheus text exposition
+// format: service counters (sessions, queue, arena pool), the sanitizer
+// work counters aggregated per sanitizer label, and the error-report
+// totals per report kind. Output order is deterministic (struct field
+// order, sorted label values) so scrapes diff cleanly.
+func (e *Engine) WriteMetrics(w io.Writer) {
+	s := e.snapshot()
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -183,56 +133,4 @@ func writeAggregate(w io.Writer, s engineSnapshot) {
 	for _, k := range sortedKeys(s.errKinds) {
 		fmt.Fprintf(w, "gsan_error_reports_total{kind=%q} %d\n", k, s.errKinds[k])
 	}
-}
-
-// perShardFamily describes one gsan_shard_* family rendered with a shard
-// label, its value drawn from a snapshot.
-var perShardFamilies = []struct {
-	name, help, kind string
-	value            func(engineSnapshot) uint64
-}{
-	{"gsan_shard_sessions_started_total", "Sessions that began executing, per shard.", "counter", func(s engineSnapshot) uint64 { return s.started }},
-	{"gsan_shard_sessions_completed_total", "Sessions that finished (any status), per shard.", "counter", func(s engineSnapshot) uint64 { return s.completed }},
-	{"gsan_shard_sessions_rejected_total", "Sessions refused by admission control, per shard.", "counter", func(s engineSnapshot) uint64 { return s.rejected }},
-	{"gsan_shard_sessions_timedout_total", "Deadline-exceeded sessions, per shard.", "counter", func(s engineSnapshot) uint64 { return s.timedout }},
-	{"gsan_shard_sessions_panicked_total", "Isolated panicking sessions, per shard.", "counter", func(s engineSnapshot) uint64 { return s.panicked }},
-	{"gsan_shard_sessions_downgraded_total", "Tier downgrades, per shard.", "counter", func(s engineSnapshot) uint64 { return s.downgraded }},
-	{"gsan_shard_queue_depth", "Admitted sessions waiting for a worker, per shard.", "gauge", func(s engineSnapshot) uint64 { return uint64(s.queueDepth) }},
-	{"gsan_shard_arena_pool_hits_total", "Warm arena gets, per shard.", "counter", func(s engineSnapshot) uint64 { return s.arenas.Hits }},
-	{"gsan_shard_arena_pool_misses_total", "Cold arena gets, per shard.", "counter", func(s engineSnapshot) uint64 { return s.arenas.Misses }},
-	{"gsan_shard_arena_pool_dropped_total", "Arenas discarded instead of shelved, per shard.", "counter", func(s engineSnapshot) uint64 { return s.arenas.Dropped }},
-	{"gsan_shard_arena_pool_size", "Idle arenas currently shelved, per shard.", "gauge", func(s engineSnapshot) uint64 { return uint64(s.arenas.Size) }},
-}
-
-// writePerShard renders the gsan_shard_* families, one labeled sample per
-// shard per family.
-func writePerShard(w io.Writer, snaps []engineSnapshot) {
-	for _, f := range perShardFamilies {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for i, s := range snaps {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", f.name, i, f.value(s))
-		}
-	}
-}
-
-// WriteMetrics renders the engine's state in Prometheus text exposition
-// format: service counters (sessions, queue, arena pool), the sanitizer
-// work counters aggregated per sanitizer label, and the error-report
-// totals per report kind.
-func (e *Engine) WriteMetrics(w io.Writer) {
-	writeAggregate(w, e.snapshot())
-}
-
-// WriteMetrics renders the shard set's state: the aggregate families
-// (element-wise sums over one consistent set of shard snapshots — the
-// same names a single engine exposes, so dashboards work unchanged),
-// followed by the per-shard gsan_shard_* families whose samples sum
-// exactly to the aggregate.
-func (s *ShardSet) WriteMetrics(w io.Writer) {
-	snaps := make([]engineSnapshot, len(s.shards))
-	for i, e := range s.shards {
-		snaps[i] = e.snapshot()
-	}
-	writeAggregate(w, sumSnapshots(snaps))
-	writePerShard(w, snaps)
 }

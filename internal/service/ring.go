@@ -6,13 +6,11 @@ import (
 	"sort"
 )
 
-// The consistent-hash ring is the one placement mechanism the service
-// uses at every scale: a ShardSet routes tenants onto in-process engine
-// shards with it, and a federating front-end routes tenants onto remote
-// backend processes with the same construction. Sharing the construction
-// is deliberate — the tested ~1/N-remap property under membership change
-// holds identically for both, and a tenant's placement is a pure function
-// of (member names, tenant key) so independent routers agree.
+// The consistent-hash ring is the service's placement mechanism: a
+// federating front-end routes tenants onto remote backend processes with
+// it. Membership change remaps only ~1/N of the keys (the tested
+// property), and a tenant's placement is a pure function of (member
+// names, tenant key), so independent routers agree.
 
 // vnodesPerMember is the ring density. 64 vnodes per member keeps the
 // expected load imbalance between members in the low single-digit percent.

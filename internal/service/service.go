@@ -111,10 +111,11 @@ type Request struct {
 	// reproducible across machines and interleavings. 0 means the
 	// engine's default; < 0 is rejected.
 	DeadlineNs int64 `json:"deadline_ns,omitempty"`
-	// Tenant is the session's placement identity for sharded deployments:
-	// all sessions of one tenant consistently hash to the same shard (and
-	// so share its arena pool and queue). Empty falls back to the workload
-	// ID, then the trace body. Ignored by unsharded engines.
+	// Tenant is the session's placement identity on a federation
+	// front-end: all sessions of one tenant consistently hash to the same
+	// backend process (and so share its arena pool and queue). Empty falls
+	// back to the workload ID, then the trace body. An engine that runs
+	// the session itself ignores it.
 	Tenant string `json:"tenant,omitempty"`
 
 	// Resolved request state, filled by validate and resolveTier; never on
@@ -141,12 +142,9 @@ type Response struct {
 	// the pool), "cold" (freshly built), or "unpooled" (LFP, whose
 	// allocator-is-the-metadata runtime is not recyclable).
 	Arena string `json:"arena"`
-	// Shard is the worker shard that executed the session (sharded
-	// deployments; always 0 on an unsharded engine).
-	Shard int `json:"shard"`
 	// Backend is the federation backend that executed the session, stamped
-	// by the federating front-end alongside the backend's own Shard. Empty
-	// when the serving process executed the session itself.
+	// by the federating front-end. Empty when the serving process executed
+	// the session itself.
 	Backend string `json:"backend,omitempty"`
 	// VirtualNs is the session's deterministic virtual-clock bill;
 	// WallNs the wall time the run took on this machine.
