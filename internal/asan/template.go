@@ -1,8 +1,6 @@
 package asan
 
 import (
-	"encoding/binary"
-	"sync"
 	"sync/atomic"
 
 	"giantsan/internal/san"
@@ -16,21 +14,26 @@ import (
 // trivial (zeros plus an optional partial code), but a whole chunk still
 // takes three separate writer calls; memoizing the full
 // [redzone][zeros][tail][redzone] image per size class turns that into one
-// copy. Caches are package-global and must stay byte-identical to the
-// reference writers, which the asan poisoner differential suite enforces.
+// copy. Caches are package-global, lock-free and bounded like core's:
+// direct-mapped shadow.TemplateTables of fixed slot counts, retaining at
+// most about 1024 × 8 KiB ≈ 8 MiB of chunk images and 256 × 8 KiB ≈ 2 MiB
+// of frame images. They must stay byte-identical to the reference
+// writers, which the asan poisoner differential suite enforces.
 
 // maxTemplateSegs bounds memoized template length, matching core.
 const maxTemplateSegs = 1 << 13
 
-type chunkKey struct {
-	leftRZ, rightRZ, size uint64
-	left, right           san.PoisonKind
-}
+// Slot counts and the memoized frame bounds, matching core.
+const (
+	chunkSlots     = 1024
+	frameSlots     = 256
+	maxFrameLocals = 20
+	frameKeyBytes  = 3 * (1 + maxFrameLocals)
+)
 
-var chunkTemplates = struct {
-	sync.RWMutex
-	m map[chunkKey][]uint8
-}{m: map[chunkKey][]uint8{}}
+// chunkTemplates memoizes whole-chunk shadow images keyed by
+// shadow.ChunkKey.
+var chunkTemplates = shadow.NewTemplateTable[uint64](chunkSlots)
 
 // chunkSegs returns the segment geometry of a chunk layout.
 func chunkSegs(leftRZ, userSize, rightRZ uint64) (lSegs, q, rem, total int) {
@@ -44,17 +47,18 @@ func chunkSegs(leftRZ, userSize, rightRZ uint64) (lSegs, q, rem, total int) {
 	return
 }
 
-// chunkTemplate returns the memoized whole-chunk shadow image for the key.
-func chunkTemplate(k chunkKey) []uint8 {
-	chunkTemplates.RLock()
-	tpl, ok := chunkTemplates.m[k]
-	chunkTemplates.RUnlock()
+// chunkTemplate returns the memoized whole-chunk shadow image of a layout
+// of at most maxTemplateSegs segments.
+func chunkTemplate(leftRZ, userSize, rightRZ uint64, left, right san.PoisonKind) []uint8 {
+	key, ok := shadow.ChunkKey(leftRZ, userSize, rightRZ, int(left), int(right))
 	if ok {
-		return tpl
+		if e := chunkTemplates.Load(key); e != nil && e.Key == key {
+			return e.Codes
+		}
 	}
-	lSegs, q, rem, total := chunkSegs(k.leftRZ, k.size, k.rightRZ)
-	tpl = make([]uint8, total)
-	lc := poisonCode(k.left)
+	lSegs, q, rem, total := chunkSegs(leftRZ, userSize, rightRZ)
+	tpl := make([]uint8, total)
+	lc := poisonCode(left)
 	for i := 0; i < lSegs; i++ {
 		tpl[i] = lc
 	}
@@ -64,13 +68,13 @@ func chunkTemplate(k chunkKey) []uint8 {
 		tpl[p] = uint8(rem)
 		p++
 	}
-	rc := poisonCode(k.right)
+	rc := poisonCode(right)
 	for i := p; i < total; i++ {
 		tpl[i] = rc
 	}
-	chunkTemplates.Lock()
-	chunkTemplates.m[k] = tpl
-	chunkTemplates.Unlock()
+	if ok {
+		chunkTemplates.Store(key, key, tpl)
+	}
 	return tpl
 }
 
@@ -103,23 +107,13 @@ func (a *Sanitizer) PoisonChunk(start vmem.Addr, leftRZ, userSize, rightRZ uint6
 		atomic.AddUint64(&a.stats.ShadowStores, uint64(lSegs+rSegs))
 		return
 	}
-	a.sh.CopySeg(l, chunkTemplate(chunkKey{leftRZ, rightRZ, userSize, left, right}))
+	a.sh.CopySeg(l, chunkTemplate(leftRZ, userSize, rightRZ, left, right))
 	atomic.AddUint64(&a.stats.ShadowStores, uint64(total))
 }
 
-var frameTemplates = struct {
-	sync.RWMutex
-	m map[string][]uint8
-}{m: map[string][]uint8{}}
-
-// frameKeyBuf appends the uvarint frame key to b.
-func frameKeyBuf(b []byte, rz uint64, sizes []uint64) []byte {
-	b = binary.AppendUvarint(b, rz)
-	for _, s := range sizes {
-		b = binary.AppendUvarint(b, s)
-	}
-	return b
-}
+// frameTemplates memoizes whole-frame shadow images keyed by
+// shadow.FrameKey.
+var frameTemplates = shadow.NewTemplateTable[string](frameSlots)
 
 // frameSegs returns the total segment count of a frame layout.
 func frameSegs(rz uint64, sizes []uint64) int {
@@ -138,39 +132,28 @@ func frameSegs(rz uint64, sizes []uint64) int {
 // whole stack frame, observably identical to the per-local PoisonChunk
 // loop.
 func (a *Sanitizer) PoisonFrame(start vmem.Addr, rz uint64, sizes []uint64) {
-	perLocal := func(visit func(at vmem.Addr, size uint64)) {
+	total := frameSegs(rz, sizes)
+	if a.ref || total > maxTemplateSegs || len(sizes) > maxFrameLocals {
 		at := start
 		for _, size := range sizes {
-			if size == 0 {
-				size = 1
-			}
-			visit(at, size)
+			size = max(size, 1)
+			a.PoisonChunk(at, rz, size, rz, san.StackRedzone, san.StackRedzone)
 			at += vmem.Addr(rz + ((size + 7) &^ 7) + rz)
 		}
-	}
-	total := frameSegs(rz, sizes)
-	if a.ref || total > maxTemplateSegs {
-		perLocal(func(at vmem.Addr, size uint64) {
-			a.PoisonChunk(at, rz, size, rz, san.StackRedzone, san.StackRedzone)
-		})
 		return
 	}
-	var keyBuf [64]byte
-	key := frameKeyBuf(keyBuf[:0], rz, sizes)
-	frameTemplates.RLock()
-	tpl, ok := frameTemplates.m[string(key)]
-	frameTemplates.RUnlock()
-	if !ok {
+	var keyBuf [frameKeyBytes]byte
+	key := shadow.FrameKey(keyBuf[:0], rz, sizes)
+	h := shadow.KeyHash(key)
+	var tpl []uint8
+	if e := frameTemplates.Load(h); e != nil && e.Key == string(key) {
+		tpl = e.Codes
+	} else {
 		tpl = make([]uint8, 0, total)
 		for _, size := range sizes {
-			if size == 0 {
-				size = 1
-			}
-			tpl = append(tpl, chunkTemplate(chunkKey{rz, rz, size, san.StackRedzone, san.StackRedzone})...)
+			tpl = append(tpl, chunkTemplate(rz, max(size, 1), rz, san.StackRedzone, san.StackRedzone)...)
 		}
-		frameTemplates.Lock()
-		frameTemplates.m[string(key)] = tpl
-		frameTemplates.Unlock()
+		frameTemplates.Store(h, string(key), tpl)
 	}
 	a.sh.CopySeg(a.sh.Index(start), tpl)
 	atomic.AddUint64(&a.stats.ShadowStores, uint64(total))

@@ -131,7 +131,9 @@ func Churns() []Churn {
 			}
 			return func(ops int) error {
 				for i := 0; i < ops; i++ {
-					st.PushLocals(sizes...)
+					if _, err := st.PushLocals(sizes...); err != nil {
+						return err
+					}
 					st.Pop()
 				}
 				return nil

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"sync"
 	"sync/atomic"
 
 	"giantsan/internal/san"
@@ -16,12 +14,25 @@ import (
 // the freed run (the shadow-update overhead the paper concedes on
 // allocation-heavy workloads, §6). The fold ladder for q good segments
 // depends only on q — never on the base address — and allocators recycle a
-// small set of (size, redzone) classes, so this file memoizes the ladders
-// and whole-chunk/whole-frame shadow images once per class and stamps them
-// with copy() instead of recomputing per allocation. The caches are
-// package-global (the encoding is fixed by Definition 1, so templates are
-// shareable across every Sanitizer instance) and guarded for the
-// concurrent allocators.
+// small set of (size, redzone) classes, so this file memoizes
+// whole-chunk/whole-frame shadow images once per class and stamps them
+// with copy() instead of recomputing per allocation. Segment j of a
+// q-segment ladder has degree ⌊log2(q−j)⌋, a function of q−j alone, so
+// every ladder is a suffix of one precomputed foldLadder. The chunk and frame
+// caches are package-global (the encoding is fixed by Definition 1, so
+// templates are shareable across every Sanitizer instance), lock-free and
+// bounded: each is a direct-mapped shadow.TemplateTable with a fixed slot
+// count, so a hit is one atomic load and one compare, and hostile input (a
+// replay that frees and mallocs thousands of distinct sizes) can evict but
+// never grow them. A template is at most maxTemplateSegs bytes of codes
+// plus an entry and key of under 128 bytes, so the worst case retained is
+// about
+//
+//	chunkTemplates  1024 slots × 8 KiB ≈ 8 MiB
+//	frameTemplates   256 slots × 8 KiB ≈ 2 MiB (keys under 64 bytes)
+//
+// about 10 MiB per process (asan's twin tables add as much), against the
+// few KiB a workload's handful of size classes actually uses.
 //
 // Everything here must stay byte-identical — shadow content and Stats — to
 // the reference writers in sanitizer.go; the poisoner differential suite
@@ -33,43 +44,38 @@ import (
 // bloat the cache.
 const maxTemplateSegs = 1 << 13
 
-// ladderTemplates memoizes the Figure 5 fold ladder per full-segment count
-// q. Stored slices are shared and must be treated as read-only.
-var ladderTemplates = struct {
-	sync.RWMutex
-	m map[int][]uint8
-}{m: map[int][]uint8{}}
+// Slot counts of the template tables: constants, so the worst case above
+// holds whatever the configuration.
+const (
+	chunkSlots = 1024
+	frameSlots = 256
+	// maxFrameLocals bounds a memoized frame; a frame with more locals is
+	// stamped local by local through chunkTemplates. Within
+	// maxTemplateSegs every local size and the redzone are below 2^17,
+	// three uvarint bytes each, so a memoized frame's key always fits
+	// frameKeyBytes.
+	maxFrameLocals = 20
+	frameKeyBytes  = 3 * (1 + maxFrameLocals)
+)
 
-// ladderTemplate returns the memoized fold ladder for q full segments:
-// ladder[j] = FoldedCode(DegreeAt(q, j)), exactly the codes
-// MarkAllocatedRef's run fills produce.
-func ladderTemplate(q int) []uint8 {
-	ladderTemplates.RLock()
-	tpl, ok := ladderTemplates.m[q]
-	ladderTemplates.RUnlock()
-	if ok {
-		return tpl
+// foldLadder is the Figure 5 fold ladder of maxTemplateSegs good
+// segments: foldLadder[i] = FoldedCode(DegreeAt(maxTemplateSegs, i)).
+var foldLadder = func() []uint8 {
+	l := make([]uint8, maxTemplateSegs)
+	for i := range l {
+		l[i] = FoldedCode(DegreeAt(maxTemplateSegs, i))
 	}
-	tpl = make([]uint8, q)
-	j := 0
-	for j < q {
-		d := DegreeAt(q, j)
-		runLen := q - (1 << d) - j + 1
-		code := FoldedCode(d)
-		for i := j; i < j+runLen; i++ {
-			tpl[i] = code
-		}
-		j += runLen
-	}
-	ladderTemplates.Lock()
-	ladderTemplates.m[q] = tpl
-	ladderTemplates.Unlock()
-	return tpl
-}
+	return l
+}()
+
+// ladderTemplate returns the fold ladder for q ≤ maxTemplateSegs full
+// segments, ladder[j] = FoldedCode(DegreeAt(q, j)) — exactly the codes
+// MarkAllocatedRef's run fills produce. It is shared and read-only.
+func ladderTemplate(q int) []uint8 { return foldLadder[maxTemplateSegs-q:] }
 
 // markSegsFast writes the allocated-region codes (q-segment ladder plus
-// optional rem-byte partial tail) starting at segment l, through the
-// template cache or — past the memoization bound — word-wide run fills.
+// optional rem-byte partial tail) starting at segment l, from foldLadder
+// or — past its length — word-wide run fills.
 func (g *Sanitizer) markSegsFast(l, q, rem int) {
 	if q > 0 {
 		if q <= maxTemplateSegs {
@@ -90,18 +96,9 @@ func (g *Sanitizer) markSegsFast(l, q, rem int) {
 	atomic.AddUint64(&g.stats.ShadowStores, markSegStores(q, rem))
 }
 
-// chunkKey identifies one memoized whole-chunk shadow image. Allocators
-// reuse few distinct (redzone, size, kind) combinations, so the cache
-// stays small.
-type chunkKey struct {
-	leftRZ, rightRZ, size uint64
-	left, right           san.PoisonKind
-}
-
-var chunkTemplates = struct {
-	sync.RWMutex
-	m map[chunkKey][]uint8
-}{m: map[chunkKey][]uint8{}}
+// chunkTemplates memoizes whole-chunk shadow images keyed by
+// shadow.ChunkKey.
+var chunkTemplates = shadow.NewTemplateTable[uint64](chunkSlots)
 
 // chunkSegs returns the segment geometry of a chunk layout: left redzone,
 // user ladder, partial tail, right redzone.
@@ -116,17 +113,18 @@ func chunkSegs(leftRZ, userSize, rightRZ uint64) (lSegs, q, rem, total int) {
 	return
 }
 
-// chunkTemplate returns the memoized whole-chunk shadow image for the key.
-func chunkTemplate(k chunkKey) []uint8 {
-	chunkTemplates.RLock()
-	tpl, ok := chunkTemplates.m[k]
-	chunkTemplates.RUnlock()
+// chunkTemplate returns the memoized whole-chunk shadow image of a layout
+// of at most maxTemplateSegs segments.
+func chunkTemplate(leftRZ, userSize, rightRZ uint64, left, right san.PoisonKind) []uint8 {
+	key, ok := shadow.ChunkKey(leftRZ, userSize, rightRZ, int(left), int(right))
 	if ok {
-		return tpl
+		if e := chunkTemplates.Load(key); e != nil && e.Key == key {
+			return e.Codes
+		}
 	}
-	lSegs, q, rem, total := chunkSegs(k.leftRZ, k.size, k.rightRZ)
-	tpl = make([]uint8, total)
-	lc := poisonCode(k.left)
+	lSegs, q, rem, total := chunkSegs(leftRZ, userSize, rightRZ)
+	tpl := make([]uint8, total)
+	lc := poisonCode(left)
 	for i := 0; i < lSegs; i++ {
 		tpl[i] = lc
 	}
@@ -136,13 +134,13 @@ func chunkTemplate(k chunkKey) []uint8 {
 		tpl[p] = PartialCode(rem)
 		p++
 	}
-	rc := poisonCode(k.right)
+	rc := poisonCode(right)
 	for i := p; i < total; i++ {
 		tpl[i] = rc
 	}
-	chunkTemplates.Lock()
-	chunkTemplates.m[k] = tpl
-	chunkTemplates.Unlock()
+	if ok {
+		chunkTemplates.Store(key, key, tpl)
+	}
 	return tpl
 }
 
@@ -171,25 +169,13 @@ func (g *Sanitizer) PoisonChunk(start vmem.Addr, leftRZ, userSize, rightRZ uint6
 		atomic.AddUint64(&g.stats.ShadowStores, uint64(lSegs+rSegs))
 		return
 	}
-	g.sh.CopySeg(l, chunkTemplate(chunkKey{leftRZ, rightRZ, userSize, left, right}))
+	g.sh.CopySeg(l, chunkTemplate(leftRZ, userSize, rightRZ, left, right))
 	atomic.AddUint64(&g.stats.ShadowStores, uint64(total))
 }
 
-// frameTemplates memoizes whole-frame shadow images keyed by the uvarint
-// encoding of (rz, sizes...).
-var frameTemplates = struct {
-	sync.RWMutex
-	m map[string][]uint8
-}{m: map[string][]uint8{}}
-
-// frameKeyBuf appends the uvarint frame key to b.
-func frameKeyBuf(b []byte, rz uint64, sizes []uint64) []byte {
-	b = binary.AppendUvarint(b, rz)
-	for _, s := range sizes {
-		b = binary.AppendUvarint(b, s)
-	}
-	return b
-}
+// frameTemplates memoizes whole-frame shadow images keyed by
+// shadow.FrameKey.
+var frameTemplates = shadow.NewTemplateTable[string](frameSlots)
 
 // frameSegs returns the total segment count of a frame layout.
 func frameSegs(rz uint64, sizes []uint64) int {
@@ -208,45 +194,28 @@ func frameSegs(rz uint64, sizes []uint64) int {
 // whole stack frame of locals, observably identical to the per-local
 // PoisonChunk loop (and thus to the per-local reference sequence).
 func (g *Sanitizer) PoisonFrame(start vmem.Addr, rz uint64, sizes []uint64) {
-	perLocal := func(visit func(a vmem.Addr, size uint64)) {
+	total := frameSegs(rz, sizes)
+	if g.ref || total > maxTemplateSegs || len(sizes) > maxFrameLocals {
 		a := start
 		for _, size := range sizes {
-			if size == 0 {
-				size = 1
-			}
-			visit(a, size)
+			size = max(size, 1)
+			g.PoisonChunk(a, rz, size, rz, san.StackRedzone, san.StackRedzone)
 			a += vmem.Addr(rz + ((size + 7) &^ 7) + rz)
 		}
-	}
-	if g.ref {
-		perLocal(func(a vmem.Addr, size uint64) {
-			g.PoisonChunk(a, rz, size, rz, san.StackRedzone, san.StackRedzone)
-		})
 		return
 	}
-	total := frameSegs(rz, sizes)
-	if total > maxTemplateSegs {
-		perLocal(func(a vmem.Addr, size uint64) {
-			g.PoisonChunk(a, rz, size, rz, san.StackRedzone, san.StackRedzone)
-		})
-		return
-	}
-	var keyBuf [64]byte
-	key := frameKeyBuf(keyBuf[:0], rz, sizes)
-	frameTemplates.RLock()
-	tpl, ok := frameTemplates.m[string(key)]
-	frameTemplates.RUnlock()
-	if !ok {
+	var keyBuf [frameKeyBytes]byte
+	key := shadow.FrameKey(keyBuf[:0], rz, sizes)
+	h := shadow.KeyHash(key)
+	var tpl []uint8
+	if e := frameTemplates.Load(h); e != nil && e.Key == string(key) {
+		tpl = e.Codes
+	} else {
 		tpl = make([]uint8, 0, total)
 		for _, size := range sizes {
-			if size == 0 {
-				size = 1
-			}
-			tpl = append(tpl, chunkTemplate(chunkKey{rz, rz, size, san.StackRedzone, san.StackRedzone})...)
+			tpl = append(tpl, chunkTemplate(rz, max(size, 1), rz, san.StackRedzone, san.StackRedzone)...)
 		}
-		frameTemplates.Lock()
-		frameTemplates.m[string(key)] = tpl
-		frameTemplates.Unlock()
+		frameTemplates.Store(h, string(key), tpl)
 	}
 	g.sh.CopySeg(g.sh.Index(start), tpl)
 	atomic.AddUint64(&g.stats.ShadowStores, uint64(total))

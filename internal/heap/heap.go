@@ -54,6 +54,10 @@ const (
 	statePending
 	stateQuarantined
 	stateFree
+	// stateReserved marks a fresh chunk not yet in the registry: carved
+	// from the bump frontier for one Malloc, or reserved in a thread
+	// cache's run.
+	stateReserved
 )
 
 // chunk is the allocator-side record of one allocation.
@@ -64,7 +68,13 @@ type chunk struct {
 	userSize uint64 // requested (possibly unaligned) size
 	state    chunkState
 	label    string
+	// next links the chunk into the LIFO list it sits on while free: a
+	// free list of the Allocator or a thread cache's reserved run.
+	next *chunk
 }
+
+// slabChunks is the number of chunk records in one slab block.
+const slabChunks = 256
 
 func (c *chunk) userReserved() uint64 { return alignUp(c.userSize) }
 
@@ -99,16 +109,26 @@ type Allocator struct {
 	// cp is p's chunk-batching extension, resolved once at construction so
 	// the hot allocation path pays no per-call type assertion; nil when the
 	// poisoner only implements the base interface.
-	cp      san.ChunkPoisoner
-	cfg     Config
-	rz      uint64
-	start   vmem.Addr // heap region start
-	limit   vmem.Addr // heap region limit
-	bump    vmem.Addr
-	chunks  map[vmem.Addr]*chunk // keyed by userBase; live + quarantined + free
-	free    map[uint64][]*chunk  // free chunks keyed by full chunk size
-	quar    []*chunk             // FIFO quarantine
-	quarLen uint64               // quarantined bytes
+	cp     san.ChunkPoisoner
+	cfg    Config
+	rz     uint64
+	start  vmem.Addr // heap region start
+	limit  vmem.Addr // heap region limit
+	bump   vmem.Addr
+	chunks map[vmem.Addr]*chunk // keyed by userBase; live + quarantined + free
+	free   map[uint64]*chunk    // LIFO free-list heads keyed by full chunk size
+	// quar[quarHead:] is the FIFO quarantine, oldest first; evictions
+	// advance quarHead and compaction reclaims the dead prefix.
+	quar     []*chunk
+	quarHead int
+	quarLen  uint64 // quarantined bytes
+	// sorted is the eviction sweep's reusable address-order buffer.
+	sorted []*chunk
+	// slab holds every chunk record of the arena in blocks of slabChunks;
+	// slabUsed counts the records handed out since the last Reset, which
+	// reuses them all.
+	slab     [][]chunk
+	slabUsed int
 
 	stats AllocStats
 }
@@ -155,7 +175,7 @@ func New(space *vmem.Space, p san.Poisoner, cfg Config) *Allocator {
 		limit:  limit,
 		bump:   start,
 		chunks: make(map[vmem.Addr]*chunk),
-		free:   make(map[uint64][]*chunk),
+		free:   make(map[uint64]*chunk),
 	}
 	return a
 }
@@ -213,14 +233,32 @@ func (a *Allocator) MallocLabeled(size uint64, label string) (vmem.Addr, error) 
 	return c.userBase, nil
 }
 
+// newChunkLocked returns a fresh chunk record for [start, start+full),
+// taken from the slab. Caller holds the lock.
+func (a *Allocator) newChunkLocked(start vmem.Addr, full uint64, state chunkState) *chunk {
+	blk, i := a.slabUsed/slabChunks, a.slabUsed%slabChunks
+	if blk == len(a.slab) {
+		a.slab = append(a.slab, make([]chunk, slabChunks))
+	}
+	a.slabUsed++
+	c := &a.slab[blk][i]
+	*c = chunk{start: start, size: full, state: state}
+	return c
+}
+
 // registerLocked makes chunk c the live allocation for size bytes and
-// publishes it in the registry. Caller holds the lock.
+// publishes it in the registry. A chunk recycled from a free list is
+// already registered under the same userBase. Caller holds the lock.
 func (a *Allocator) registerLocked(c *chunk, size uint64, label string) {
+	recycled := c.state == stateFree
 	c.userBase = c.start + a.rz
 	c.userSize = size
 	c.state = stateLive
 	c.label = label
-	a.chunks[c.userBase] = c
+	c.next = nil
+	if !recycled {
+		a.chunks[c.userBase] = c
+	}
 	a.stats.Mallocs++
 	a.stats.BytesAllocated += size
 	a.stats.BytesLive += size
@@ -255,10 +293,10 @@ func (a *Allocator) poisonChunk(c *chunk) {
 // takeChunk acquires a chunk with the given full size, reusing the free
 // list before extending the bump frontier. Caller holds the lock.
 func (a *Allocator) takeChunk(full uint64) (*chunk, error) {
-	if list := a.free[full]; len(list) > 0 {
-		c := list[len(list)-1]
-		a.free[full] = list[:len(list)-1]
-		delete(a.chunks, c.userBase)
+	if c := a.free[full]; c != nil {
+		// The chunk stays in the registry, marked free, until
+		// registerLocked makes it live under the same userBase.
+		a.free[full] = c.next
 		a.stats.FreeListReuses++
 		if a.cfg.Oracle != nil {
 			a.cfg.Oracle.Recycle(c.userBase, c.userSize)
@@ -268,29 +306,41 @@ func (a *Allocator) takeChunk(full uint64) (*chunk, error) {
 	if a.bump+vmem.Addr(full) > a.limit {
 		return nil, fmt.Errorf("%w: need %d bytes, %d left", ErrOutOfMemory, full, a.limit-a.bump)
 	}
-	c := &chunk{start: a.bump, size: full}
+	c := a.newChunkLocked(a.bump, full, stateReserved)
 	a.bump += vmem.Addr(full)
 	return c, nil
 }
 
+// pushFreeLocked puts c on the head of its size's free list. Caller holds
+// the lock.
+func (a *Allocator) pushFreeLocked(c *chunk) {
+	c.state = stateFree
+	c.next = a.free[c.size]
+	a.free[c.size] = c
+}
+
 // reserveRun carves n contiguous fresh chunks of the given full size from
 // the bump frontier for a thread cache's refill. The caller holds the
-// lock. The chunks are returned in address order, unregistered and with
-// untouched shadow: until the owning cache registers one as live, nothing
-// else can reach them, so the cache poisons the whole run in one HeapFreed
-// sweep after releasing the lock.
-func (a *Allocator) reserveRun(full uint64, n int) ([]*chunk, error) {
+// lock. It returns the first chunk of the run and the rest as a LIFO list
+// whose head is the highest address, all unregistered and with untouched
+// shadow: until the owning cache registers one as live, nothing else can
+// reach them, so the cache poisons the whole run in one HeapFreed sweep
+// after releasing the lock.
+func (a *Allocator) reserveRun(full uint64, n int) (first, rest *chunk, err error) {
 	need := vmem.Addr(full) * vmem.Addr(n)
 	if a.bump+need > a.limit {
-		return nil, fmt.Errorf("%w: need %d bytes, %d left", ErrOutOfMemory, need, a.limit-a.bump)
+		return nil, nil, fmt.Errorf("%w: need %d bytes, %d left", ErrOutOfMemory, need, a.limit-a.bump)
 	}
-	run := make([]*chunk, n)
-	for i := range run {
-		run[i] = &chunk{start: a.bump, size: full, state: stateFree}
+	first = a.newChunkLocked(a.bump, full, stateReserved)
+	a.bump += vmem.Addr(full)
+	for i := 1; i < n; i++ {
+		c := a.newChunkLocked(a.bump, full, stateReserved)
+		c.next = rest
+		rest = c
 		a.bump += vmem.Addr(full)
 	}
 	a.stats.TCacheRefills++
-	return run, nil
+	return first, rest, nil
 }
 
 // Free deallocates the allocation at p. It reports double frees and frees
@@ -325,29 +375,34 @@ func (a *Allocator) Free(p vmem.Addr) *report.Error {
 // free list under NoQuarantine), recycling any evicted chunks. The caller
 // holds the lock; c must be live or pending.
 func (a *Allocator) quarantineLocked(c *chunk) {
-	c.state = stateQuarantined
 	if a.cfg.NoQuarantine {
-		c.state = stateFree
-		a.free[c.size] = append(a.free[c.size], c)
+		a.pushFreeLocked(c)
 		return
 	}
+	c.state = stateQuarantined
 	a.quar = append(a.quar, c)
 	a.quarLen += c.size
 	a.stats.QuarantinePushes++
-	var popped []*chunk
-	for a.quarLen > a.cfg.QuarantineBytes && len(a.quar) > 0 {
-		old := a.quar[0]
-		a.quar = a.quar[1:]
+	from := a.quarHead
+	for a.quarLen > a.cfg.QuarantineBytes && a.quarHead < len(a.quar) {
+		old := a.quar[a.quarHead]
+		a.quarHead++
 		a.quarLen -= old.size
 		a.stats.QuarantinePops++
-		popped = append(popped, old)
 	}
-	if len(popped) > 0 {
+	if popped := a.quar[from:a.quarHead]; len(popped) > 0 {
 		a.sweepEvictedLocked(popped)
+		for _, old := range popped {
+			a.pushFreeLocked(old)
+		}
 	}
-	for _, old := range popped {
-		old.state = stateFree
-		a.free[old.size] = append(a.free[old.size], old)
+	// Compact once the dead prefix outweighs the live FIFO, so each entry
+	// is moved O(1) times on average and the array stays at most twice the
+	// quarantine's length.
+	if live := len(a.quar) - a.quarHead; a.quarHead > live {
+		copy(a.quar, a.quar[a.quarHead:])
+		a.quar = a.quar[:live]
+		a.quarHead = 0
 	}
 }
 
@@ -360,26 +415,25 @@ func (a *Allocator) quarantineLocked(c *chunk) {
 // free list a concurrent Malloc may take it and stamp its live image, and
 // a late eviction sweep would wipe that out.
 func (a *Allocator) sweepEvictedLocked(evicted []*chunk) {
-	// Sort a copy: the caller appends to the free lists in pop order, and
+	// Sort a copy: the caller pushes onto the free lists in pop order, and
 	// that FIFO reuse order must not depend on address layout.
-	popped := slices.Clone(evicted)
-	slices.SortFunc(popped, func(x, y *chunk) int {
+	sorted := append(a.sorted[:0], evicted...)
+	slices.SortFunc(sorted, func(x, y *chunk) int {
 		return cmp.Compare(x.start, y.start)
 	})
-	runStart, runLen := popped[0].start, popped[0].size
-	flush := func() {
-		a.p.Poison(runStart, runLen, san.HeapFreed)
-		a.stats.EvictionSweeps++
-	}
-	for _, old := range popped[1:] {
+	runStart, runLen := sorted[0].start, sorted[0].size
+	for _, old := range sorted[1:] {
 		if runStart+vmem.Addr(runLen) == old.start {
 			runLen += old.size
 			continue
 		}
-		flush()
+		a.p.Poison(runStart, runLen, san.HeapFreed)
+		a.stats.EvictionSweeps++
 		runStart, runLen = old.start, old.size
 	}
-	flush()
+	a.p.Poison(runStart, runLen, san.HeapFreed)
+	a.stats.EvictionSweeps++
+	a.sorted = sorted[:0]
 }
 
 // finishPending moves a thread-cache pending chunk into the central
@@ -442,7 +496,7 @@ func (a *Allocator) UserSize(p vmem.Addr) (uint64, bool) {
 func (a *Allocator) QuarantineLen() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.quar)
+	return len(a.quar) - a.quarHead
 }
 
 // LiveBytes returns the bytes in live allocations.
@@ -463,12 +517,14 @@ func (a *Allocator) Footprint() uint64 {
 // Reset returns the allocator to its just-constructed state and reports
 // the arena footprint it released: registry and free lists emptied, the
 // quarantine drained, counters zeroed, and the bump frontier back at the
-// region start. It does not touch shadow memory — the caller (rt.Env.Reset)
-// restores the shadow over the released footprint — and it must not be
-// called while thread caches built on this allocator are still in use:
-// their reserved runs are forgotten here, so a later TCache free would be
-// misclassified. The arena pool resets between sessions, when no caches
-// are live.
+// region start. The registry's buckets, the quarantine's array and the
+// slab of chunk records keep their capacity for the next session. It does
+// not touch shadow memory — the caller (rt.Env.Reset) restores the shadow
+// over the released footprint — and it must not be called while thread
+// caches built on this allocator are still in use: their reserved runs
+// are forgotten here (and their records handed out again), so a later
+// TCache call would be misclassified. The arena pool resets between
+// sessions, when no caches are live.
 func (a *Allocator) Reset() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -476,8 +532,10 @@ func (a *Allocator) Reset() uint64 {
 	a.bump = a.start
 	clear(a.chunks)
 	clear(a.free)
-	a.quar = nil
+	a.quar = a.quar[:0]
+	a.quarHead = 0
 	a.quarLen = 0
+	a.slabUsed = 0
 	a.stats = AllocStats{}
 	return used
 }

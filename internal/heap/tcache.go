@@ -28,8 +28,9 @@ type TCache struct {
 	// reserved chunk with only the brief registration lock. Zero keeps the
 	// seed behaviour (every Malloc goes through the central allocator).
 	RefillAt int
-	// cache holds reserved fresh chunks keyed by full chunk size.
-	cache map[uint64][]*chunk
+	// cache holds the heads of LIFO lists of reserved fresh chunks, keyed
+	// by full chunk size.
+	cache map[uint64]*chunk
 }
 
 // NewTCache returns a thread cache over a.
@@ -53,9 +54,8 @@ func (t *TCache) MallocLabeled(size uint64, label string) (vmem.Addr, error) {
 		return 0, a.tooLarge(size)
 	}
 	full := a.chunkSizeFor(size)
-	if list := t.cache[full]; len(list) > 0 {
-		c := list[len(list)-1]
-		t.cache[full] = list[:len(list)-1]
+	if c := t.cache[full]; c != nil {
+		t.cache[full] = c.next
 		a.mu.Lock()
 		a.registerLocked(c, size, label)
 		a.stats.TCacheHits++
@@ -66,7 +66,7 @@ func (t *TCache) MallocLabeled(size uint64, label string) (vmem.Addr, error) {
 	// Miss: recycled central chunks first (delayed-reuse semantics must not
 	// change because a cache sits in front), then a fresh reserved run.
 	a.mu.Lock()
-	if len(a.free[full]) > 0 {
+	if a.free[full] != nil {
 		c, err := a.takeChunk(full)
 		if err != nil {
 			a.mu.Unlock()
@@ -77,7 +77,7 @@ func (t *TCache) MallocLabeled(size uint64, label string) (vmem.Addr, error) {
 		a.finishMalloc(c, label)
 		return c.userBase, nil
 	}
-	run, err := a.reserveRun(full, t.RefillAt)
+	c, rest, err := a.reserveRun(full, t.RefillAt)
 	a.mu.Unlock()
 	if err != nil {
 		// The arena tail cannot hold a whole run; the central allocator
@@ -87,12 +87,13 @@ func (t *TCache) MallocLabeled(size uint64, label string) (vmem.Addr, error) {
 	// One sweep poisons the entire reserved run as freed memory. No lock
 	// needed: nothing else can reach these chunks until they are
 	// registered.
-	a.p.Poison(run[0].start, full*uint64(len(run)), san.HeapFreed)
-	c := run[0]
-	if t.cache == nil {
-		t.cache = make(map[uint64][]*chunk)
+	a.p.Poison(c.start, full*uint64(t.RefillAt), san.HeapFreed)
+	if rest != nil {
+		if t.cache == nil {
+			t.cache = make(map[uint64]*chunk)
+		}
+		t.cache[full] = rest
 	}
-	t.cache[full] = append(t.cache[full], run[1:]...)
 	a.mu.Lock()
 	a.registerLocked(c, size, label)
 	a.stats.TCacheHits++

@@ -64,7 +64,9 @@ func driveAllocTrace(t *testing.T, env *Env, seed int64) int {
 			for k := range sizes {
 				sizes[k] = uint64(rng.Intn(130))
 			}
-			env.Stack().PushLocals(sizes...)
+			if _, err := env.Stack().PushLocals(sizes...); err != nil {
+				t.Fatalf("op %d: push locals: %v", i, err)
+			}
 			frames++
 		default: // pop, keeping a few frames resident
 			if frames > 2 {

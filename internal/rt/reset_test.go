@@ -3,6 +3,7 @@ package rt
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"giantsan/internal/asan"
@@ -98,7 +99,10 @@ func dirty(t *testing.T, e *Env) string {
 	e.PopFrame()
 	record(e.San().CheckAccess(b, 8, report.Read)) // UAR when enabled
 	e.PopFrame()
-	bases := e.Stack().PushLocals(8, 24, 0, 177)
+	bases, err := e.Stack().PushLocals(8, 24, 0, 177)
+	if err != nil {
+		t.Fatalf("push locals: %v", err)
+	}
 	record(e.San().CheckAccess(bases[3], 8, report.Read))
 	e.PopFrame()
 
@@ -111,6 +115,47 @@ func dirty(t *testing.T, e *Env) string {
 	record(e.San().CheckAccess(g+48, 8, report.Read)) // partial-tail overflow
 
 	fmt.Fprintf(&out, "stats:%+v", *e.San().Stats())
+	return out.String()
+}
+
+// churn is the allocation-churn input of the reset and fork suites: the
+// malloc/free/frame traffic of an allocation-heavy session, through enough
+// frees that the tiny quarantine evicts and the free lists recycle. It
+// returns every address the env handed out, the quarantine length after
+// every free, the allocator counters and a digest of the final shadow, so
+// two runs agree only if they reuse chunks in the same order.
+func churn(t *testing.T, e *Env) string {
+	t.Helper()
+	var out bytes.Buffer
+	base := e.Space().Base()
+	var live []vmem.Addr
+	for i := 0; i < 600; i++ {
+		p, err := e.Malloc(uint64(1 + (i*37)%96))
+		if err != nil {
+			t.Fatalf("malloc %d: %v", i, err)
+		}
+		live = append(live, p)
+		fmt.Fprintf(&out, "m%#x;", p-base)
+		if i%3 == 2 {
+			// Free an older chunk, then a frame of locals that the next
+			// call frame recycles.
+			j := (i * 7) % len(live)
+			if err := e.Free(live[j]); err != nil {
+				t.Fatalf("free %d: %v", i, err)
+			}
+			live = append(live[:j], live[j+1:]...)
+			fmt.Fprintf(&out, "q%d;", e.Heap().QuarantineLen())
+			e.PushFrame()
+			for k := 0; k < 3; k++ {
+				fmt.Fprintf(&out, "s%#x;", alloca(t, e, uint64(8+(i+k)%40))-base)
+			}
+			e.PopFrame()
+		}
+	}
+	sh := envShadow(t, e)
+	h := fnv.New64a()
+	h.Write(sh.Snapshot(0, sh.NumSegments()))
+	fmt.Fprintf(&out, "heap:%+v;shadow:%x", e.Heap().Stats(), h.Sum64())
 	return out.String()
 }
 
@@ -166,6 +211,15 @@ func TestResetMatchesFresh(t *testing.T) {
 			fs, rs = envShadow(t, fresh), envShadow(t, recycled)
 			if !bytes.Equal(fs.Snapshot(0, fs.NumSegments()), rs.Snapshot(0, rs.NumSegments())) {
 				t.Fatal("shadow images diverge after identical post-reset workloads")
+			}
+
+			// The churn input on a reset arena, twice, against a fresh fork.
+			want = churn(t, Fork(cfg))
+			for i := 0; i < 2; i++ {
+				recycled.Reset()
+				if got := churn(t, recycled); got != want {
+					t.Fatalf("churn %d on the recycled env diverges from a fresh fork:\nfork:     %s\nrecycled: %s", i, want, got)
+				}
 			}
 		})
 	}
@@ -250,6 +304,12 @@ func TestForkMatchesFresh(t *testing.T) {
 			// And the recycled fork still behaves exactly like fresh.
 			if again := dirty(t, fork); again != want {
 				t.Fatalf("recycled fork diverges:\nfresh: %s\nfork:  %s", want, again)
+			}
+
+			// The churn input on the recycled fork against a fresh one.
+			fork.Reset()
+			if want, got := churn(t, Fork(cfg)), churn(t, fork); got != want {
+				t.Fatalf("churn on the recycled fork diverges:\nfresh fork: %s\nrecycled:   %s", want, got)
 			}
 		})
 	}

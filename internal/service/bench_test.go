@@ -2,15 +2,19 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"giantsan/internal/instrument"
+	"giantsan/internal/interp"
 	"giantsan/internal/progen"
 	"giantsan/internal/report"
 	"giantsan/internal/rt"
 	"giantsan/internal/vmem"
+	"giantsan/internal/workload"
 )
 
 // The arena-pool acceptance numbers: recycling a warm arena must beat
@@ -125,6 +129,58 @@ func BenchmarkReplaySession(b *testing.B) {
 		}
 	}
 	for _, s := range sessions { // warm the arena pool and the buffers
+		run(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(sessions[i%len(sessions)])
+	}
+}
+
+// churnKernels are the allocation-heavy kernels of sessionbench's
+// spec-churn mix.
+var churnKernels = []string{"502.gcc_r", "520.omnetpp_r", "511.povray_r"}
+
+// BenchmarkWorkloadSession measures one allocation-heavy workload session
+// through the HTTP handler on a warm arena: JSON request decode, queue
+// hand-off, build, prepare and run under GiantSan, and response encode.
+// The sessions cycle through the spec-churn kernels; each response must be
+// OK and carry the checksum of a fresh rt.New run of its kernel.
+//
+//	go test ./internal/service -run '^$' -bench WorkloadSession -benchmem
+func BenchmarkWorkloadSession(b *testing.B) {
+	type session struct {
+		body, checksum string
+	}
+	var sessions []session
+	for _, id := range churnKernels {
+		w := workload.ByID(id)
+		ex, err := interp.Prepare(w.Build(1), instrument.GiantSanProfile,
+			rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: w.HeapBytes}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sessions = append(sessions, session{
+			body:     `{"workload":"` + id + `","sanitizer":"giantsan"}`,
+			checksum: fmt.Sprintf("%#x", ex.Run().Checksum),
+		})
+	}
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	srv := NewServer(e)
+	run := func(s session) {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sessions", strings.NewReader(s.body)))
+		var resp Response
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Status != StatusOK {
+			b.Fatalf("session: %d %s", w.Code, w.Body.Bytes())
+		}
+		if resp.Checksum != s.checksum {
+			b.Fatalf("%s checksum %s, fresh run %s", resp.Workload, resp.Checksum, s.checksum)
+		}
+	}
+	for _, s := range sessions { // warm the arena pool
 		run(s)
 	}
 	b.ReportAllocs()

@@ -26,7 +26,7 @@ func TestPushLocalsMatchesAllocaLoop(t *testing.T) {
 		batched := New(spA, gA, Config{})
 		looped := New(spB, gB, Config{})
 
-		bases := batched.PushLocals(sizes...)
+		bases := pushLocals(t, batched, sizes...)
 		looped.Push()
 		var want []vmem.Addr
 		for _, size := range sizes {
@@ -61,7 +61,7 @@ func TestPushLocalsMatchesAllocaLoop(t *testing.T) {
 // extension, PushLocals still lays out and poisons the frame correctly.
 func TestPushLocalsFallback(t *testing.T) {
 	s, p, o := newStack(t, Config{})
-	bases := s.PushLocals(16, 0, 40)
+	bases := pushLocals(t, s, 16, 0, 40)
 	if len(bases) != 3 {
 		t.Fatalf("got %d bases, want 3", len(bases))
 	}
@@ -85,7 +85,7 @@ func TestPushLocalsFallback(t *testing.T) {
 // TestPushLocalsEmptyFrame: no locals still opens a frame.
 func TestPushLocalsEmptyFrame(t *testing.T) {
 	s, _, _ := newStack(t, Config{})
-	if bases := s.PushLocals(); bases != nil {
+	if bases := pushLocals(t, s); bases != nil {
 		t.Errorf("PushLocals() = %v, want nil", bases)
 	}
 	if s.Depth() != 1 {
@@ -97,7 +97,7 @@ func TestPushLocalsEmptyFrame(t *testing.T) {
 // TestPushLocalsPopRetires: a batched frame pops like any other frame.
 func TestPushLocalsPopRetires(t *testing.T) {
 	s, p, _ := newStack(t, Config{DetectUAR: true})
-	bases := s.PushLocals(24, 8)
+	bases := pushLocals(t, s, 24, 8)
 	s.Pop()
 	for i, b := range bases {
 		if p.addressable(b, 8) {

@@ -34,10 +34,12 @@ type local struct {
 	size uint64
 }
 
-// frame is one pushed function frame.
+// frame is one pushed function frame. Its locals are Stack.locals[locals:]
+// up to the next frame's start, so a frame is two words and pushing one
+// allocates nothing once the stack has been that deep before.
 type frame struct {
 	start  vmem.Addr
-	locals []local
+	locals int
 }
 
 // Stack is a downward-ignorant (grows upward for simplicity; the shadow
@@ -57,7 +59,9 @@ type Stack struct {
 	// downward, but the simulated memory stays dirty up to the highest
 	// frame ever pushed, which is the extent arena recycling must zero.
 	high   vmem.Addr
-	frames []*frame
+	frames []frame
+	// locals holds every open frame's locals, innermost frame last.
+	locals []local
 	// DetectUAR controls whether popped frames are poisoned as
 	// stack-after-return (true) or unpoisoned for reuse (false).
 	// ASan's default keeps it off; the Juliet UAR cases turn it on.
@@ -106,7 +110,7 @@ func New(space *vmem.Space, p san.Poisoner, cfg Config) *Stack {
 
 // Push opens a new frame.
 func (s *Stack) Push() {
-	s.frames = append(s.frames, &frame{start: s.bump})
+	s.frames = append(s.frames, frame{start: s.bump, locals: len(s.locals)})
 }
 
 // Alloca allocates a local of the given size in the current frame and
@@ -127,12 +131,11 @@ func (s *Stack) Alloca(size uint64) (vmem.Addr, error) {
 	if size > room || need > room {
 		return 0, fmt.Errorf("%w: a %d-byte local does not fit in the %d bytes left", ErrExhausted, size, room)
 	}
-	f := s.frames[len(s.frames)-1]
 	start := s.bump
 	base := start + vmem.Addr(s.rz)
 	s.bump += vmem.Addr(need)
 	s.high = max(s.high, s.bump)
-	f.locals = append(f.locals, local{base: base, size: size})
+	s.locals = append(s.locals, local{base: base, size: size})
 
 	s.poisonLocal(start, size)
 	if s.Oracle != nil {
@@ -163,51 +166,52 @@ func (s *Stack) poisonLocal(start vmem.Addr, size uint64) {
 // frame's whole shadow image — every redzone and every local — is stamped
 // in one sweep when the poisoner supports frame batching, which is how
 // instrumented function prologues poison in one go instead of per-local.
-func (s *Stack) PushLocals(sizes ...uint64) []vmem.Addr {
+// When the locals do not all fit in the room left it returns ErrExhausted
+// and opens no frame.
+func (s *Stack) PushLocals(sizes ...uint64) ([]vmem.Addr, error) {
+	// Each size is compared before it is rounded, as in Alloca, and need
+	// never exceeds room, so no sum can wrap.
+	room := uint64(s.limit - s.bump)
+	need := uint64(0)
+	for _, size := range sizes {
+		size = max(size, 1)
+		left := room - need
+		reserved := (size + Align - 1) &^ (Align - 1)
+		if size > left || s.rz+reserved+s.rz > left {
+			return nil, fmt.Errorf("%w: a frame of %d locals does not fit in the %d bytes left", ErrExhausted, len(sizes), room)
+		}
+		need += s.rz + reserved + s.rz
+	}
 	s.Push()
 	if len(sizes) == 0 {
-		return nil
+		return nil, nil
 	}
-	f := s.frames[len(s.frames)-1]
 	start := s.bump
 	bases := make([]vmem.Addr, len(sizes))
-	need := vmem.Addr(0)
+	at := start
 	for i, size := range sizes {
-		if size == 0 {
-			size = 1
-		}
-		reserved := (size + Align - 1) &^ (Align - 1)
-		bases[i] = start + need + vmem.Addr(s.rz)
-		f.locals = append(f.locals, local{base: bases[i], size: size})
-		need += vmem.Addr(s.rz + reserved + s.rz)
+		size = max(size, 1)
+		bases[i] = at + vmem.Addr(s.rz)
+		s.locals = append(s.locals, local{base: bases[i], size: size})
+		at += vmem.Addr(s.rz + ((size + Align - 1) &^ (Align - 1)) + s.rz)
 	}
-	if s.bump+need > s.limit {
-		panic(fmt.Sprintf("stack: simulated stack exhausted (need %d bytes)", need))
-	}
-	s.bump += need
+	s.bump += vmem.Addr(need)
 	s.high = max(s.high, s.bump)
 	if s.fp != nil {
 		s.fp.PoisonFrame(start, s.rz, sizes)
 	} else {
-		at := start
-		for _, size := range sizes {
-			if size == 0 {
-				size = 1
-			}
-			s.poisonLocal(at, size)
-			at += vmem.Addr(s.rz + ((size + Align - 1) &^ (Align - 1)) + s.rz)
+		for i, size := range sizes {
+			s.poisonLocal(bases[i]-vmem.Addr(s.rz), max(size, 1))
 		}
 	}
 	if s.Oracle != nil {
 		for i, size := range sizes {
-			if size == 0 {
-				size = 1
-			}
+			size = max(size, 1)
 			tail := ((size + Align - 1) &^ (Align - 1)) - size
 			s.Oracle.Alloc(bases[i], size, s.rz, s.rz+tail, oracle.Stack, "")
 		}
 	}
-	return bases
+	return bases, nil
 }
 
 // Pop closes the current frame. With DetectUAR the frame's memory is
@@ -219,12 +223,14 @@ func (s *Stack) Pop() {
 	}
 	f := s.frames[len(s.frames)-1]
 	s.frames = s.frames[:len(s.frames)-1]
+	locals := s.locals[f.locals:]
+	s.locals = s.locals[:f.locals]
 	size := uint64(s.bump - f.start)
 	if size > 0 {
 		s.p.Poison(f.start, size, san.StackAfterReturn)
 	}
 	if s.Oracle != nil {
-		for _, l := range f.locals {
+		for _, l := range locals {
 			s.Oracle.Free(l.base)
 		}
 	}
@@ -232,7 +238,7 @@ func (s *Stack) Pop() {
 		// Recycle the region: the next frame may reuse these addresses.
 		s.bump = f.start
 		if s.Oracle != nil {
-			for _, l := range f.locals {
+			for _, l := range locals {
 				s.Oracle.Recycle(l.base, l.size)
 			}
 		}
@@ -255,6 +261,7 @@ func (s *Stack) HighWater() vmem.Addr { return s.high }
 func (s *Stack) Reinit() uint64 {
 	used := uint64(s.high - s.start)
 	s.frames = s.frames[:0]
+	s.locals = s.locals[:0]
 	s.bump = s.start
 	s.high = s.start
 	return used
@@ -268,12 +275,11 @@ func (s *Stack) Reset() {
 		s.p.Poison(s.start, size, san.StackAfterReturn)
 	}
 	if s.Oracle != nil {
-		for _, fr := range s.frames {
-			for _, l := range fr.locals {
-				s.Oracle.Free(l.base)
-			}
+		for _, l := range s.locals {
+			s.Oracle.Free(l.base)
 		}
 	}
 	s.frames = s.frames[:0]
+	s.locals = s.locals[:0]
 	s.bump = s.start
 }

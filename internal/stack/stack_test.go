@@ -61,6 +61,16 @@ func alloca(t *testing.T, s *Stack, size uint64) vmem.Addr {
 	return p
 }
 
+// pushLocals is PushLocals failing the test when the stack is exhausted.
+func pushLocals(t *testing.T, s *Stack, sizes ...uint64) []vmem.Addr {
+	t.Helper()
+	bases, err := s.PushLocals(sizes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bases
+}
+
 func TestAllocaLayout(t *testing.T) {
 	s, p, o := newStack(t, Config{})
 	s.Push()
@@ -193,7 +203,8 @@ func TestZeroSizeAlloca(t *testing.T) {
 
 // TestAllocaExhaustionIsAnError: a local larger than the room left, and
 // one so near 2^64 that rounding it up to Align would wrap, both come
-// back as ErrExhausted and leave the stack as it was.
+// back as ErrExhausted and leave the stack as it was, through Alloca and
+// through PushLocals.
 func TestAllocaExhaustionIsAnError(t *testing.T) {
 	s, _, _ := newStack(t, Config{})
 	s.Push()
@@ -205,5 +216,19 @@ func TestAllocaExhaustionIsAnError(t *testing.T) {
 	}
 	if after := alloca(t, s, 8); after != before+8+2*DefaultRedzone {
 		t.Errorf("a failed Alloca moved the stack: next local at %#x, want %#x", after, before+8+2*DefaultRedzone)
+	}
+	// PushLocals makes the same per-size check and opens no frame when
+	// any local does not fit.
+	depth := s.Depth()
+	for _, sizes := range [][]uint64{{1 << 16}, {8, math.MaxUint64 - 3}, {math.MaxUint64, 8}, {1 << 14, 1 << 14, 1 << 14, 1 << 14}} {
+		if bases, err := s.PushLocals(sizes...); !errors.Is(err, ErrExhausted) {
+			t.Errorf("PushLocals(%v) = %#x, %v; want ErrExhausted", sizes, bases, err)
+		}
+	}
+	if s.Depth() != depth {
+		t.Errorf("a failed PushLocals left depth %d, want %d", s.Depth(), depth)
+	}
+	if bases := pushLocals(t, s, 8); bases[0] != before+2*(8+2*DefaultRedzone) {
+		t.Errorf("a failed PushLocals moved the stack: next local at %#x, want %#x", bases[0], before+2*(8+2*DefaultRedzone))
 	}
 }
