@@ -274,7 +274,7 @@ func TestNoOverlapProperty(t *testing.T) {
 func TestRealloc(t *testing.T) {
 	a, p, o := newHeap(t, Config{})
 	ptr, _ := a.Malloc(64)
-	a.space.Store64(ptr, 0xfeedface)
+	a.space.Store(ptr, 8, 0xfeedface)
 	np, rerr, err := a.Realloc(ptr, 128)
 	if err != nil || rerr != nil {
 		t.Fatalf("Realloc: %v %v", rerr, err)
@@ -282,7 +282,7 @@ func TestRealloc(t *testing.T) {
 	if np == ptr {
 		t.Fatal("realloc must move (quarantine semantics)")
 	}
-	if a.space.Load64(np) != 0xfeedface {
+	if a.space.Load(np, 8) != 0xfeedface {
 		t.Error("contents not copied")
 	}
 	if !p.addressable(np, 128) || !o.Addressable(np, 128) {
@@ -299,12 +299,12 @@ func TestRealloc(t *testing.T) {
 func TestReallocShrinkAndEdgeCases(t *testing.T) {
 	a, _, _ := newHeap(t, Config{})
 	ptr, _ := a.Malloc(64)
-	a.space.Store64(ptr, 0x1234)
+	a.space.Store(ptr, 8, 0x1234)
 	np, rerr, err := a.Realloc(ptr, 16) // shrink: copies min(old,new)
 	if err != nil || rerr != nil {
 		t.Fatal(rerr, err)
 	}
-	if a.space.Load64(np) != 0x1234 {
+	if a.space.Load(np, 8) != 0x1234 {
 		t.Error("shrink lost contents")
 	}
 	// Realloc(0, n) == Malloc.

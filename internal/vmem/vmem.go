@@ -12,10 +12,7 @@
 // null-dereference detection is meaningful.
 package vmem
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Addr is a simulated 64-bit virtual address.
 type Addr = uint64
@@ -67,6 +64,12 @@ func (s *Space) Contains(a Addr, n uint64) bool {
 	return a >= s.base && n <= uint64(len(s.data)) && a-s.base <= uint64(len(s.data))-n
 }
 
+// Arena returns the space's base address and the byte arena behind it:
+// address base+i is arena[i]. It is for callers that test bounds
+// themselves once per access (the interpreter's fused access closures);
+// writes through the slice are writes to the simulated memory.
+func (s *Space) Arena() (Addr, []byte) { return s.base, s.data }
+
 // offset translates a simulated address to an arena index, panicking on a
 // wild access: touching memory outside the space is a bug in the *simulator*
 // (the sanitizers are supposed to check first), so it fails loudly.
@@ -92,42 +95,6 @@ func (s *Space) Load8(a Addr) byte {
 // Store8 writes one byte at address a.
 func (s *Space) Store8(a Addr, v byte) {
 	s.data[s.offset(a, 1)] = v
-}
-
-// Load16 reads a little-endian 16-bit word at address a.
-func (s *Space) Load16(a Addr) uint16 {
-	off := s.offset(a, 2)
-	return binary.LittleEndian.Uint16(s.data[off:])
-}
-
-// Store16 writes a little-endian 16-bit word at address a.
-func (s *Space) Store16(a Addr, v uint16) {
-	off := s.offset(a, 2)
-	binary.LittleEndian.PutUint16(s.data[off:], v)
-}
-
-// Load32 reads a little-endian 32-bit word at address a.
-func (s *Space) Load32(a Addr) uint32 {
-	off := s.offset(a, 4)
-	return binary.LittleEndian.Uint32(s.data[off:])
-}
-
-// Store32 writes a little-endian 32-bit word at address a.
-func (s *Space) Store32(a Addr, v uint32) {
-	off := s.offset(a, 4)
-	binary.LittleEndian.PutUint32(s.data[off:], v)
-}
-
-// Load64 reads a little-endian 64-bit word at address a.
-func (s *Space) Load64(a Addr) uint64 {
-	off := s.offset(a, 8)
-	return binary.LittleEndian.Uint64(s.data[off:])
-}
-
-// Store64 writes a little-endian 64-bit word at address a.
-func (s *Space) Store64(a Addr, v uint64) {
-	off := s.offset(a, 8)
-	binary.LittleEndian.PutUint64(s.data[off:], v)
 }
 
 // Load reads an n-byte little-endian unsigned integer (n in 1..8).

@@ -82,16 +82,22 @@ func TestLoadStore8(t *testing.T) {
 	}
 }
 
-func TestLoadStore64(t *testing.T) {
-	s := NewSpace(64)
-	a := s.Base() + 8
-	s.Store64(a, 0x1122334455667788)
-	if got := s.Load64(a); got != 0x1122334455667788 {
-		t.Errorf("Load64 = %#x", got)
+// TestArenaAliasesSpace checks that the arena is the space's memory:
+// address Base()+i is arena[i], in little-endian order, both ways.
+func TestArenaAliasesSpace(t *testing.T) {
+	s := NewSpaceAt(0x4000, 64)
+	base, arena := s.Arena()
+	if base != s.Base() || uint64(len(arena)) != s.Size() {
+		t.Fatalf("Arena = (%#x, %d bytes), want (%#x, %d)", base, len(arena), s.Base(), s.Size())
 	}
-	// Little-endian byte order.
-	if got := s.Load8(a); got != 0x88 {
+	a := s.Base() + 8
+	s.Store(a, 8, 0x1122334455667788)
+	if got := arena[8]; got != 0x88 {
 		t.Errorf("low byte = %#x, want 0x88", got)
+	}
+	arena[17] = 0xab
+	if got := s.Load(a+8, 2); got != 0xab00 {
+		t.Errorf("Load after an arena write = %#x, want 0xab00", got)
 	}
 }
 
