@@ -138,23 +138,34 @@ func BenchmarkReplaySession(b *testing.B) {
 	}
 }
 
-// churnKernels are the allocation-heavy kernels of sessionbench's
-// spec-churn mix.
-var churnKernels = []string{"502.gcc_r", "520.omnetpp_r", "511.povray_r"}
+// checkKernels and churnKernels are the check-heavy and the
+// allocation-heavy kernels of sessionbench's spec-check and spec-churn
+// mixes.
+var (
+	checkKernels = []string{"500.perlbench_r", "523.xalancbmk_r", "531.deepsjeng_r", "557.xz_r"}
+	churnKernels = []string{"502.gcc_r", "520.omnetpp_r", "511.povray_r"}
+)
 
-// BenchmarkWorkloadSession measures one allocation-heavy workload session
-// through the HTTP handler on a warm arena: JSON request decode, queue
-// hand-off, build, prepare and run under GiantSan, and response encode.
-// The sessions cycle through the spec-churn kernels; each response must be
-// OK and carry the checksum of a fresh rt.New run of its kernel.
+// BenchmarkWorkloadSession measures one workload session through the HTTP
+// handler on a warm arena: JSON request decode, queue hand-off, build,
+// prepare and run under GiantSan, and response encode. /check cycles
+// through the spec-check kernels, where the interpreter and the checks
+// dominate; /churn through the spec-churn kernels, where allocation and
+// poisoning do. Each response must be OK and carry the checksum of a
+// fresh rt.New run of its kernel.
 //
 //	go test ./internal/service -run '^$' -bench WorkloadSession -benchmem
 func BenchmarkWorkloadSession(b *testing.B) {
+	b.Run("check", func(b *testing.B) { benchWorkloadSessions(b, checkKernels) })
+	b.Run("churn", func(b *testing.B) { benchWorkloadSessions(b, churnKernels) })
+}
+
+func benchWorkloadSessions(b *testing.B, kernels []string) {
 	type session struct {
 		body, checksum string
 	}
 	var sessions []session
-	for _, id := range churnKernels {
+	for _, id := range kernels {
 		w := workload.ByID(id)
 		ex, err := interp.Prepare(w.Build(1), instrument.GiantSanProfile,
 			rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: w.HeapBytes}))
