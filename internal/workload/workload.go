@@ -60,15 +60,18 @@ func All() []*Workload {
 	}
 }
 
-// ByID returns the workload with the given ID, or nil.
-func ByID(id string) *Workload {
+// byID indexes the list All returns, built once.
+var byID = func() map[string]*Workload {
+	m := make(map[string]*Workload)
 	for _, w := range All() {
-		if w.ID == id {
-			return w
-		}
+		m[w.ID] = w
 	}
-	return nil
-}
+	return m
+}()
+
+// ByID returns the workload with the given ID, or nil. The workload is
+// shared by every caller and must not be modified.
+func ByID(id string) *Workload { return byID[id] }
 
 // Shorthand constructors keep the kernel definitions readable.
 
