@@ -18,6 +18,7 @@ import (
 
 	"giantsan/internal/analysis"
 	"giantsan/internal/ir"
+	"giantsan/internal/report"
 )
 
 // Profile describes which optimizations a sanitizer's instrumentation may
@@ -133,12 +134,14 @@ func (m Mode) String() string {
 
 // PreCheck is a region check hoisted to a loop preheader: it covers the
 // affine access pattern base + i·scale + off for i in [0, N), i.e. the
-// bytes [base+off, base+(N−1)·scale+off+size).
+// bytes [base+off, base+(N−1)·scale+off+size). Access is the type of the
+// access it stands for, the type its report carries.
 type PreCheck struct {
-	Base  string
-	Scale int64
-	Off   int64
-	Size  int64
+	Base   string
+	Scale  int64
+	Off    int64
+	Size   int64
+	Access report.AccessType
 }
 
 // Plan is the instrumentation decision for one program under one profile.
@@ -197,7 +200,7 @@ func (p *Plan) modeFor(acc *analysis.Access, facts *analysis.Facts, groupPlanned
 		if acc.Kind == analysis.Affine && acc.Loop != nil && acc.Loop.Bounded &&
 			acc.LoopSafe && acc.Unconditional && acc.Off >= 0 {
 			p.Pre[acc.Loop] = append(p.Pre[acc.Loop], PreCheck{
-				Base: acc.Base, Scale: acc.Scale, Off: acc.Off, Size: int64(acc.Size),
+				Base: acc.Base, Scale: acc.Scale, Off: acc.Off, Size: int64(acc.Size), Access: AccessOf(acc.Stmt),
 			})
 			return ModeSkip
 		}
@@ -207,7 +210,7 @@ func (p *Plan) modeFor(acc *analysis.Access, facts *analysis.Facts, groupPlanned
 		if acc.Kind == analysis.ConstAddr && acc.Loop != nil && acc.LoopSafe &&
 			acc.Unconditional && acc.Off >= 0 {
 			p.Pre[acc.Loop] = append(p.Pre[acc.Loop], PreCheck{
-				Base: acc.Base, Scale: 0, Off: acc.Off, Size: int64(acc.Size),
+				Base: acc.Base, Scale: 0, Off: acc.Off, Size: int64(acc.Size), Access: AccessOf(acc.Stmt),
 			})
 			return ModeSkip
 		}
@@ -230,6 +233,15 @@ func (p *Plan) modeFor(acc *analysis.Access, facts *analysis.Facts, groupPlanned
 		return ModeCached
 	}
 	return ModeDirect
+}
+
+// AccessOf is the report type of a memory access statement: Write for a
+// store, Read for a load.
+func AccessOf(st ir.Stmt) report.AccessType {
+	if _, ok := st.(*ir.Store); ok {
+		return report.Write
+	}
+	return report.Read
 }
 
 func (p *Plan) addCacheVar(loop *ir.Loop, base string) {

@@ -5,6 +5,7 @@ import (
 
 	"giantsan/internal/instrument"
 	"giantsan/internal/ir"
+	"giantsan/internal/report"
 	"giantsan/internal/rt"
 )
 
@@ -195,5 +196,85 @@ func TestOpaqueIsInert(t *testing.T) {
 	res := ex.Run()
 	if res.Errors.Total() != 0 || res.Checksum == 0 {
 		t.Errorf("opaque broke execution: %+v", res.Stats)
+	}
+}
+
+// TestHoistedChecksReportTheirAccess: a check hoisted to a loop preheader
+// reports the type of the access it stands for, so a read-only loop that
+// overflows reports READ under every leg, as the per-access checks of
+// asan do, and a write loop reports WRITE.
+func TestHoistedChecksReportTheirAccess(t *testing.T) {
+	loop := func(access ir.Stmt) *ir.Prog {
+		return &ir.Prog{Name: "hoisted", Body: []ir.Stmt{
+			&ir.Malloc{Dst: "a", Size: ir.Const(80)},
+			&ir.Loop{Var: "i", N: ir.Const(11), Bounded: true, Body: []ir.Stmt{access}},
+		}}
+	}
+	progs := map[report.AccessType]*ir.Prog{
+		report.Read:  loop(&ir.Load{Dst: "v", Base: "a", Idx: ir.Var("i"), Scale: 8, Size: 8}),
+		report.Write: loop(&ir.Store{Base: "a", Idx: ir.Var("i"), Scale: 8, Size: 8, Val: ir.Var("i")}),
+	}
+	legs := []struct {
+		prof instrument.Profile
+		kind rt.Kind
+	}{
+		{instrument.GiantSanProfile, rt.GiantSan},
+		{instrument.ElimOnly, rt.GiantSan},
+		{instrument.ASanMinusProfile, rt.ASanMinus},
+		{instrument.ASanProfile, rt.ASan},
+	}
+	for want, p := range progs {
+		for _, leg := range legs {
+			env := rt.New(rt.Config{Kind: leg.kind, HeapBytes: 1 << 20})
+			ex, err := Prepare(p, leg.prof, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := ex.Run()
+			if res.Errors.Total() == 0 {
+				t.Errorf("%s: %v loop overflow not reported", leg.prof.Name, want)
+			}
+			for _, e := range res.Errors.Errors {
+				if e.Access != want {
+					t.Errorf("%s: %v loop reported %v", leg.prof.Name, want, e)
+				}
+			}
+		}
+	}
+}
+
+// TestCacheFinishReportsItsAccesses: the loop-exit check of a quasi-bound
+// cache catches a buffer freed in the loop's last iteration and reports
+// READ when only loads are bound to the cache, WRITE when a store is.
+func TestCacheFinishReportsItsAccesses(t *testing.T) {
+	loop := func(body ...ir.Stmt) *ir.Prog {
+		body = append(body, &ir.If{Cond: ir.Bin{Op: ir.Xor, L: ir.Var("i"), R: ir.Const(9)},
+			Else: []ir.Stmt{&ir.Free{Ptr: "a"}}})
+		return &ir.Prog{Name: "finish", Body: []ir.Stmt{
+			&ir.Malloc{Dst: "a", Size: ir.Const(80)},
+			&ir.Loop{Var: "i", N: ir.Const(10), Body: body},
+		}}
+	}
+	load := &ir.Load{Dst: "v", Base: "a", Idx: ir.Var("i"), Scale: 8, Size: 8}
+	store := &ir.Store{Base: "a", Idx: ir.Var("i"), Scale: 8, Size: 8, Val: ir.Var("i")}
+	for want, p := range map[report.AccessType]*ir.Prog{
+		report.Read:  loop(load),
+		report.Write: loop(load, store),
+	} {
+		for _, prof := range []instrument.Profile{instrument.GiantSanProfile, instrument.CacheOnly} {
+			env := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: 1 << 20})
+			ex, err := Prepare(p, prof, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := ex.Run()
+			if res.Stats.Cached == 0 || res.Errors.Total() != 1 {
+				t.Fatalf("%s: %d cached accesses, %d errors, want a cached loop and the loop-exit report",
+					prof.Name, res.Stats.Cached, res.Errors.Total())
+			}
+			if e := res.Errors.Errors[0]; e.Kind != report.UseAfterFree || e.Access != want {
+				t.Errorf("%s: loop-exit check reported %v, want a %v use-after-free", prof.Name, e, want)
+			}
+		}
 	}
 }
