@@ -17,7 +17,6 @@
 //	hotpath     checker hot paths: ns/check, shadow-loads/check → BENCH_hotpath.json
 //	metapath    allocation metadata path: ns/op, shadow-stores/op → BENCH_metapath.json
 //	tiers       service tier ladder: cost vs detection → BENCH_tiers.json
-//	federation  multi-process scale-out and failover → BENCH_federation.json
 //	fuzz        guided vs blind fuzzing, executions to detection → BENCH_fuzz.json
 //	fig11       Figure 11: traversal study with the §5.4 mitigation (-reps)
 //	table3      Table 3: Juliet-like detection suite
@@ -37,13 +36,11 @@
 //
 //	metapath    every GiantSan churn's fast-vs-reference speedup ≥ metapath.MinSpeedup (1.0)
 //	tiers       cost strictly monotone down the ladder, detection never increasing
-//	federation  ≥ federation.MinSpeedup2 (1.8) at 2 and MinSpeedup4 (3.0) at 4
-//	            backends, lossless ~1/N failover
 //	fuzz        guided detects every class, geomean ≥ fuzzbench.MinGeomean (1.5)
 //
-// The suites' sizes (hot-path passes, metadata ops, tier seeds, tenants,
-// fuzz campaigns and budget, canary programs) are their packages'
-// defaults. An unknown -exp name exits 2 and lists the rows.
+// The suites' sizes (hot-path passes, metadata ops, tier seeds, fuzz
+// campaigns and budget, canary programs) are their packages' defaults.
+// An unknown -exp name exits 2 and lists the rows.
 //
 // Engine flags:
 //
@@ -75,7 +72,6 @@ import (
 	"time"
 
 	"giantsan/internal/bench"
-	"giantsan/internal/bench/federation"
 	"giantsan/internal/bench/fuzzbench"
 	"giantsan/internal/bench/hotpath"
 	"giantsan/internal/bench/metapath"
@@ -205,16 +201,6 @@ var registry = []experiment{
 		render:   bench.RenderTiers,
 		artifact: true,
 		check:    bench.CheckMonotone,
-	}.row(),
-	exp[*federation.Report]{
-		name:     "federation",
-		caption:  "Multi-process federation — routed makespan per backend count, proxy overhead, kill-one failover",
-		run:      func(params) (*federation.Report, error) { return federation.Run(nil, 0) },
-		render:   federation.Render,
-		artifact: true,
-		check: func(r *federation.Report) error {
-			return federation.Check(r, federation.MinSpeedup2, federation.MinSpeedup4)
-		},
 	}.row(),
 	exp[*fuzzbench.Report]{
 		name:     "fuzz",

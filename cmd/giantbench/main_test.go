@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"giantsan/internal/bench"
-	"giantsan/internal/bench/federation"
 	"giantsan/internal/bench/fuzzbench"
 	"giantsan/internal/bench/hotpath"
 	"giantsan/internal/bench/metapath"
@@ -164,30 +163,6 @@ func TestChecksHoldTheirFloors(t *testing.T) {
 				rep.Speedup["giantsan/"+ch.Name] = metapath.MinSpeedup
 			}
 			rep.Speedup["giantsan/fresh"] += d
-			return rep
-		}},
-		{"federation", func(t *testing.T, d float64) any {
-			rep := load[federation.Report](t, "federation")
-			for i, row := range rep.Scaling {
-				switch row.Backends {
-				case 2:
-					rep.Scaling[i].Speedup = federation.MinSpeedup2 + d
-				case 4:
-					rep.Scaling[i].Speedup = federation.MinSpeedup4
-				}
-			}
-			return rep
-		}},
-		{"federation", func(t *testing.T, d float64) any {
-			rep := load[federation.Report](t, "federation")
-			for i, row := range rep.Scaling {
-				switch row.Backends {
-				case 2:
-					rep.Scaling[i].Speedup = federation.MinSpeedup2
-				case 4:
-					rep.Scaling[i].Speedup = federation.MinSpeedup4 + d
-				}
-			}
 			return rep
 		}},
 		{"fuzz", func(t *testing.T, d float64) any {

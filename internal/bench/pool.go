@@ -13,8 +13,7 @@ import (
 // (kernel × sanitizer × repetition, corpus case × tool, traversal
 // pattern × mode × size) across a bounded worker pool; every work item
 // builds its own shared-nothing runtime — space, shadow, heap, stack —
-// via newRuntime, so items interact only through the machine, the same
-// isolation contract RateRun establishes for SPEC-rate copies. Results
+// via newRuntime, so items interact only through the machine. Results
 // are merged ordered by matrix index, never by completion order, so
 // rendered tables are identical at any Parallel level.
 type Options struct {

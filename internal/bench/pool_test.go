@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
-	"giantsan/internal/ir"
 	"giantsan/internal/parallel"
-	"giantsan/internal/progen"
 	"giantsan/internal/workload"
 )
 
@@ -180,45 +176,6 @@ func TestVirtualTimeReproducible(t *testing.T) {
 	}
 	if d1 <= 0 {
 		t.Errorf("virtual duration %v not positive", d1)
-	}
-}
-
-// buggyWorkload wraps a progen program with a planted out-of-bounds
-// access as a Table 2-style workload, so the rate driver's error path can
-// be exercised with a real sanitizer report.
-func buggyWorkload(t *testing.T) *workload.Workload {
-	t.Helper()
-	for seed := int64(1); seed < 64; seed++ {
-		p, ok := progen.Buggy(seed)
-		if !ok {
-			continue
-		}
-		return &workload.Workload{
-			ID:        fmt.Sprintf("buggy-%d", seed),
-			HeapBytes: 16 << 20,
-			Build:     func(int) *ir.Prog { return p },
-		}
-	}
-	t.Fatal("no buggy progen seed found")
-	return nil
-}
-
-// TestRateRunReturnsMeasurementOnError: a rate run whose copies report
-// sanitizer errors still completed and was still timed — the measurement
-// must come back alongside the error, and the error must deterministically
-// name the lowest failing copy.
-func TestRateRunReturnsMeasurementOnError(t *testing.T) {
-	w := buggyWorkload(t)
-	cfg := Configs()[1] // giantsan: must detect the planted bug
-	res, err := RateRun(w, cfg, 1, 4)
-	if err == nil {
-		t.Fatal("buggy workload produced no error")
-	}
-	if !strings.Contains(err.Error(), "copy 0") {
-		t.Errorf("error %q should name the lowest failing copy (copy 0: every copy runs the same program)", err)
-	}
-	if res.Copies != 4 || res.Elapsed <= 0 || res.Throughput <= 0 {
-		t.Errorf("measurement discarded on error: %+v", res)
 	}
 }
 

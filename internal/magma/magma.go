@@ -174,11 +174,6 @@ func heapFor(p Project, rz uint64) uint64 {
 	return small + medium + huge + nonmem + (4 << 20)
 }
 
-// RunAll regenerates the whole table sequentially.
-func RunAll() []Result {
-	return RunAllOpts(parallel.Options{Workers: 1})
-}
-
 // RunAllOpts shards the project × configuration matrix across the worker
 // pool — each item owns its full runtime — and folds the detection counts
 // back into Table 5 row order, identical at any worker count.

@@ -202,7 +202,7 @@ type Stats struct {
 	// first non-addressable byte of its final segment (d in 0..6; a
 	// distance of 0 means the access touched the very last addressable
 	// byte). A set-of-distances composes where a raw minimum could not:
-	// Add/Merge OR the masks, and Sub keeps the bits newly set in s —
+	// Add ORs the masks, and Sub keeps the bits newly set in s —
 	// so the per-run delta the interpreter snapshots (after.Sub(before))
 	// reports exactly the distances that run produced. The minimum
 	// distance is the mask's lowest set bit.
@@ -263,21 +263,6 @@ func (s *Stats) MinNearMiss() (int, bool) {
 func (s *Stats) Clone() *Stats {
 	c := *s
 	return &c
-}
-
-// Merge folds the given snapshots into one fresh aggregate, in argument
-// order. Nil entries are skipped, so per-item slots of a partially failed
-// parallel run can be merged directly. Counter addition is commutative,
-// but the experiment drivers still merge in matrix order so that any
-// future order-sensitive field keeps the deterministic-output contract.
-func Merge(parts ...*Stats) *Stats {
-	out := &Stats{}
-	for _, p := range parts {
-		if p != nil {
-			out.Add(p)
-		}
-	}
-	return out
 }
 
 // PassCache is the degenerate history cache used by sanitizers without

@@ -348,7 +348,9 @@ func memberAssignments(rb *RemoteBackend, keys int) map[string]string {
 
 // TestFederationEjectionRemapsOneNth: killing one of three backends moves
 // only that backend's tenants (~1/3), every survivor-keyed tenant stays
-// put, and the moved tenants are served by the survivors.
+// put, and a batch of sessions after the kill loses none: every one is
+// served, by its old backend or, for the dead backend's tenants, by the
+// survivor the ring now names.
 func TestFederationEjectionRemapsOneNth(t *testing.T) {
 	backends := map[string]*fedBackend{
 		"b0": startFedBackend(t),
@@ -387,19 +389,28 @@ func TestFederationEjectionRemapsOneNth(t *testing.T) {
 	if moved == 0 || moved > keys/2 {
 		t.Fatalf("ejection moved %d/%d keys; expected ~1/3", moved, keys)
 	}
-	// The remapped tenants are actually served.
-	for k, b := range before {
-		if b != "b1" {
-			continue
-		}
+	// No session is lost across the kill: a whole batch of tenants is
+	// served, survivors' tenants by their old backend and the dead
+	// backend's tenants by the ring's new choice.
+	const batch = 32
+	remapped := 0
+	for i := 0; i < batch; i++ {
+		k := fmt.Sprintf("tenant-%d", i)
 		resp, err := rb.Submit(Request{Workload: "505.mcf_r", Tenant: k})
 		if err != nil || resp.Status != StatusOK {
-			t.Fatalf("remapped tenant %s: resp=%+v err=%v", k, resp, err)
+			t.Fatalf("tenant %s (was on %s): resp=%+v err=%v", k, before[k], resp, err)
 		}
-		if resp.Backend != after[k] {
-			t.Fatalf("remapped tenant %s served by %s, ring says %s", k, resp.Backend, after[k])
+		want := before[k]
+		if want == "b1" {
+			want = after[k]
+			remapped++
 		}
-		break
+		if resp.Backend != want {
+			t.Fatalf("tenant %s (was on %s) served by %s, want %s", k, before[k], resp.Backend, want)
+		}
+	}
+	if remapped == 0 || remapped == batch {
+		t.Fatalf("%d of %d batch tenants lived on the dead backend; the batch must cover both kinds", remapped, batch)
 	}
 }
 

@@ -56,27 +56,40 @@ func TestRingMemberNameStability(t *testing.T) {
 // TestShardRoutingIsDeterministicAndSpread pins the ring a federation
 // shards tenants over: the same tenant always lands on the same member,
 // also on a ring rebuilt from the same names, and a tenant population
-// spreads over every one of four members.
+// spreads evenly. On rings of 2, 4 and 8 members every member holds some
+// of 1000 tenants and none holds more than 1.5/N of them, so one backend
+// never carries a disproportionate share of the load.
 func TestShardRoutingIsDeterministicAndSpread(t *testing.T) {
-	names := []string{"b0", "b1", "b2", "b3"}
-	r, rebuilt := buildRing(names), buildRing(names)
-	seen := make(map[int]int)
-	for i := 0; i < 256; i++ {
-		key := fmt.Sprintf("tenant-%d", i)
-		m := r.lookup(key)
-		if again := r.lookup(key); again != m {
-			t.Fatalf("key %q routed to %d then %d", key, m, again)
+	const keys = 1000
+	for _, n := range []int{2, 4, 8} {
+		var names []string
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("b%d", i))
 		}
-		if other := rebuilt.lookup(key); other != m {
-			t.Fatalf("key %q routed to %d, then %d on a rebuilt ring", key, m, other)
+		r, rebuilt := buildRing(names), buildRing(names)
+		seen := make(map[int]int)
+		for i := 0; i < keys; i++ {
+			key := fmt.Sprintf("tenant-%d", i)
+			m := r.lookup(key)
+			if again := r.lookup(key); again != m {
+				t.Fatalf("key %q routed to %d then %d", key, m, again)
+			}
+			if other := rebuilt.lookup(key); other != m {
+				t.Fatalf("key %q routed to %d, then %d on a rebuilt ring", key, m, other)
+			}
+			if m < 0 || m >= n {
+				t.Fatalf("key %q routed to out-of-range member %d", key, m)
+			}
+			seen[m]++
 		}
-		if m < 0 || m >= len(names) {
-			t.Fatalf("key %q routed to out-of-range member %d", key, m)
+		if len(seen) != n {
+			t.Fatalf("%d tenants covered only %d of %d members: %v", keys, len(seen), n, seen)
 		}
-		seen[m]++
-	}
-	if len(seen) != len(names) {
-		t.Fatalf("256 tenants covered only %d of %d members: %v", len(seen), len(names), seen)
+		for m, c := range seen {
+			if float64(c) > 1.5*keys/float64(n) {
+				t.Errorf("%d members: member %d holds %d of %d tenants (%.2f/N), over 1.5/N", n, m, c, keys, float64(c)*float64(n)/keys)
+			}
+		}
 	}
 }
 

@@ -84,12 +84,6 @@ func (m *Memory) Store(a vmem.Addr, v uint8) { m.StoreSeg(m.Index(a), v) }
 // pay a second, per-load classification. Callers of everything below own
 // the bounds proof.
 
-// IndexUnchecked returns the segment index of address a without the
-// covered-space check. a must satisfy Contains(a).
-func (m *Memory) IndexUnchecked(a vmem.Addr) int {
-	return int((a - m.base) >> SegShift)
-}
-
 // CodeAt returns the state code of segment index p without the
 // covered-space classification — the hot read primitive the check paths
 // build on. p must be below NumSegments. One page-table read: clean pages
@@ -137,13 +131,14 @@ func (m *Memory) StoreSeg(p int, v uint8) {
 
 // Debug gates the span assertions on the bulk accessors (Fill, Fill64,
 // LoadWide, StoreWide, CopySeg). Unlike the per-segment read side — where
-// IndexUnchecked exists because per-load classification is the hot cost —
-// the bulk routines pay one comparison pair per *call*, negligible next to
-// the bytes they move, so the assertions default to on. Without them a
-// negative n is accepted silently by the word-stepping writers (the loop
-// simply never runs), hiding an allocator arithmetic bug behind a no-op,
-// and a short LoadWide would fail as a bare slice-bounds panic instead of
-// naming the offending span.
+// CodeAt and LoadUnchecked skip classification because per-load
+// classification is the hot cost — the bulk routines pay one comparison
+// pair per *call*, negligible next to the bytes they move, so the
+// assertions default to on. Without them a negative n is accepted
+// silently by the word-stepping writers (the loop simply never runs),
+// hiding an allocator arithmetic bug behind a no-op, and a short
+// LoadWide would fail as a bare slice-bounds panic instead of naming the
+// offending span.
 var Debug = true
 
 // assertSpan panics when [p, p+n) is not a valid segment span.

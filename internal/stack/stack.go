@@ -248,13 +248,8 @@ func (s *Stack) Pop() {
 // Depth returns the number of open frames.
 func (s *Stack) Depth() int { return len(s.frames) }
 
-// HighWater returns one past the highest stack address any frame ever
-// reached. Pop lowers the bump frontier but leaves memory dirty up to
-// this mark, so it bounds the extent arena recycling zeroes.
-func (s *Stack) HighWater() vmem.Addr { return s.high }
-
 // Reinit returns the stack to its just-constructed state and reports the
-// arena footprint it releases ([start, HighWater)). Unlike Reset it does
+// arena footprint it releases ([start, high)). Unlike Reset it does
 // not poison anything: the caller (rt.Env.Reset) returns the whole shadow
 // to the pristine unallocated image, erasing redzones and after-return
 // codes alike so a recycled arena is indistinguishable from a fresh one.

@@ -210,9 +210,6 @@ func (h *Harness) Traverse() uint64 {
 // counters simply stay zero).
 func (h *Harness) Stats() *san.Stats { return h.san.Stats() }
 
-// Elements returns the number of elements visited per pass.
-func (h *Harness) Elements() uint64 { return h.n }
-
 // SanStats exposes the live sanitizer counters of the harness runtime, so
 // the figure driver can derive hardware-independent virtual timings (per-
 // pass check and metadata-load counts) alongside the wall clock.
