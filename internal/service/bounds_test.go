@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,9 @@ func paddedBody(n int64, tail string) io.Reader {
 // TestSessionBodyBounded: POST /sessions reads at most maxSessionBody
 // bytes. A streamed body past the cap is refused with a structured 413
 // before the server buffers it all, while a valid request padded to just
-// under the cap still decodes and runs.
+// under the cap still decodes and runs. The whole body counts, bytes after
+// the request object too, and a Content-Length header far above the bytes
+// sent does not make the server allocate for it.
 func TestSessionBodyBounded(t *testing.T) {
 	eng := New(Config{Workers: 1})
 	defer eng.Close()
@@ -53,6 +56,31 @@ func TestSessionBodyBounded(t *testing.T) {
 	under := serve(paddedBody(maxSessionBody-int64(len(req)), req))
 	if under.Code != http.StatusOK {
 		t.Fatalf("body at the cap: status %d, want 200 (%s)", under.Code, under.Body.Bytes())
+	}
+
+	trailing := serve(io.MultiReader(strings.NewReader(req), io.LimitReader(spaces{}, maxSessionBody)))
+	if trailing.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("request padded past the cap: status %d, want 413 (%s)", trailing.Code, trailing.Body.Bytes())
+	}
+
+	small := `{"workload":"` + stressWorkload + `","sanitizer":"giantsan","tenant":"t-1"}`
+	claim := func() *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, "/sessions", strings.NewReader(small))
+		r.ContentLength = 60 << 20
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		return rec
+	}
+	claim() // warm the arena pool, so the measured session allocates only per request
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lied := claim()
+	runtime.ReadMemStats(&after)
+	if lied.Code != http.StatusOK {
+		t.Fatalf("%d-byte body claiming 60 MiB: status %d, want 200 (%s)", len(small), lied.Code, lied.Body.Bytes())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Errorf("%d-byte body claiming 60 MiB: %d bytes allocated, want under 4 MiB", len(small), grew)
 	}
 }
 

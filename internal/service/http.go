@@ -90,10 +90,11 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// maxSessionBody caps a POST /sessions body. The largest in-repo trace
-// recording (500.perlbench_r, 30.1 MB) is about 40 MB once base64-encoded
-// into a replay request, so 64 MiB admits every real session while
-// bounding what one request can make the server buffer.
+// maxSessionBody caps a POST /sessions body, all of it: bytes after the
+// request object count too. The largest in-repo trace recording
+// (500.perlbench_r, 30.1 MB) is about 40 MB once base64-encoded into a
+// replay request, so 64 MiB admits every real session while bounding what
+// one request can make the server buffer.
 const maxSessionBody = 64 << 20
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
@@ -102,10 +103,8 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST a session request"})
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSessionBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := readRequest(http.MaxBytesReader(w, r.Body, maxSessionBody), r.ContentLength)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
