@@ -343,6 +343,24 @@ func (a *Sanitizer) CheckAccess(p vmem.Addr, w uint64, t report.AccessType) *rep
 	return a.checkRangeAlignedFast(p+first, p+vmem.Addr(w), t)
 }
 
+// FastAccess is CheckAccess's first-segment test, the check ASan's
+// instrumentation compiles inline: the access [p, p+w) lies within one
+// segment of the space and that segment's code is CodeGood. It then counts
+// what CheckAccess counts for it (Checks and ShadowLoads) and returns
+// true; on false it has counted nothing and the caller makes the generic
+// call. internal/interp binds it in front of ASan's Direct checks, so a
+// wall-clock Table 2 compares the two encodings' checks, not the
+// interpreter's dispatch. The caller owns the reference-path test.
+func (a *Sanitizer) FastAccess(p vmem.Addr, w uint64) bool {
+	i := (p - a.sh.Base()) >> shadow.SegShift
+	if w-1 >= uint64(8-p&7) || i >= vmem.Addr(a.sh.NumSegments()) || a.sh.CodeAt(int(i)) != CodeGood {
+		return false
+	}
+	a.stats.Checks++
+	a.stats.ShadowLoads++
+	return true
+}
+
 // CheckRangeRef is the reference implementation of ASan's linear guardian
 // (the routine backing the interceptors for memset, memcpy, strcpy, ...):
 // it loads one shadow byte per segment, Θ((r−l)/8) metadata loads. This
@@ -460,7 +478,9 @@ func (a *Sanitizer) checkRangeAlignedFast(l, r vmem.Addr, t report.AccessType) *
 // location, which is what lets large-stride overflows jump redzones
 // (Table 5's false negatives).
 func (a *Sanitizer) CheckAnchored(anchor, p vmem.Addr, w uint64, t report.AccessType) *report.Error {
-	if w <= 8 {
+	if w <= 8 || p+vmem.Addr(w) < p {
+		// A wide access whose end wraps past 2^64 would read as an empty
+		// range; CheckAccess reports it as leaving the space.
 		return a.CheckAccess(p, w, t)
 	}
 	return a.CheckRange(p, p+vmem.Addr(w), t)

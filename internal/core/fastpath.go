@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math/bits"
+
 	"giantsan/internal/report"
+	"giantsan/internal/san"
 	"giantsan/internal/shadow"
 	"giantsan/internal/vmem"
 )
@@ -119,4 +122,54 @@ func (g *Sanitizer) CheckRange(l, r vmem.Addr, t report.AccessType) *report.Erro
 	}
 	g.nearMiss(last, int(((r-1)&7)+1))
 	return nil
+}
+
+// The inline fronts. GiantSan's instrumentation compiles the fast check
+// and the quasi-bound comparison into the program and calls the runtime
+// only when they fail; internal/interp binds these two tests in front of
+// its generic check call the same way. Each returns true only for an
+// access the generic call would pass on the very same lines, after
+// counting exactly what that call counts; on false it has counted nothing
+// and the caller makes the generic call. Both are small enough for the
+// Go inliner, so a passing access costs no call at all.
+
+// FastAnchored is the fast check of CheckAnchored(anchor, anchor+off, w, t)
+// on the fast path, for w ≥ 1: the anchor is 8-aligned and in the space,
+// off ≥ 0, and the fold summary at the anchor covers [anchor, anchor+off+w).
+// That is CheckRange(anchor, anchor+off+w) passing Algorithm 1's lines 1–3
+// with no head fix-up, so it counts Checks, RangeChecks, ShadowLoads and
+// FastChecks. A summary never reaches past the object it was folded over,
+// so a covered access lies in the space; in particular its end cannot wrap
+// past 2^64 (the space must end below 2^64, as every rt space does). The
+// caller owns the reference-path test: this is the fast path's check.
+func (g *Sanitizer) FastAnchored(anchor vmem.Addr, off int64, w uint64) bool {
+	// Rotating the anchor's offset right by SegShift moves an unaligned
+	// anchor's low bits to the top, so one comparison with the segment
+	// count refuses an unaligned anchor and one outside the space alike.
+	i := bits.RotateLeft64(anchor-g.sh.Base(), -shadow.SegShift)
+	if i >= uint64(g.sh.NumSegments()) || off < 0 || uint64(off)+w > summaryTab[g.sh.CodeAt(int(i))] {
+		return false
+	}
+	g.stats.Checks++
+	g.stats.RangeChecks++
+	g.stats.ShadowLoads++
+	g.stats.FastChecks++
+	return true
+}
+
+// CacheHit is the quasi-bound comparison of CheckCached (Figure 9, line
+// 3): c is a GiantSan cache holding this anchor, and the access
+// [anchor+off, anchor+off+w) lies under its bound. A hit counts Checks and
+// CacheHits, as CheckCached does. A miss — another checker's cache, a new
+// anchor, a negative offset or an access beyond the bound — counts
+// nothing and leaves the cache for CheckCached to reset, check and
+// refill.
+func CacheHit(c san.Cache, anchor vmem.Addr, off int64, w uint64) bool {
+	b, ok := c.(*boundCache)
+	if !ok || anchor != b.anchor || off < 0 || uint64(off)+w > b.ub {
+		return false
+	}
+	b.g.stats.Checks++
+	b.g.stats.CacheHits++
+	return true
 }

@@ -368,14 +368,34 @@ func (g *Sanitizer) CheckRangeRef(l, r vmem.Addr, t report.AccessType) *report.E
 }
 
 // CheckAccess implements instruction-level protection for one access of
-// width w (w ≤ 8 in instrumented code, but any width is accepted).
+// width w (w ≤ 8 in instrumented code, but any width is accepted). An
+// access whose end reaches 2^64 or wraps past it leaves the space, so it
+// is reported rather than passed as CheckRange's empty range.
 func (g *Sanitizer) CheckAccess(p vmem.Addr, w uint64, t report.AccessType) *report.Error {
-	return g.CheckRange(p, p+vmem.Addr(w), t)
+	r := p + vmem.Addr(w)
+	if r < p {
+		return g.wrapped(p, w, t)
+	}
+	return g.CheckRange(p, r, t)
 }
 
 // CheckAccessRef is the reference-path counterpart of CheckAccess.
 func (g *Sanitizer) CheckAccessRef(p vmem.Addr, w uint64, t report.AccessType) *report.Error {
-	return g.CheckRangeRef(p, p+vmem.Addr(w), t)
+	r := p + vmem.Addr(w)
+	if r < p {
+		return g.wrapped(p, w, t)
+	}
+	return g.CheckRangeRef(p, r, t)
+}
+
+// wrapped reports an access [p, p+w) whose end reaches 2^64 or wraps past
+// it, which no half-open range [l, r) of CheckRange can express. It counts
+// the region check the access stands for, as CheckRange and CheckRangeRef
+// count theirs before any verdict, so both paths agree on it.
+func (g *Sanitizer) wrapped(p vmem.Addr, w uint64, t report.AccessType) *report.Error {
+	g.stats.Checks++
+	g.stats.RangeChecks++
+	return g.nullOrWild(p, w, t)
 }
 
 // CheckAnchored implements the anchor-based enhancement of §4.4.1: instead
@@ -384,8 +404,12 @@ func (g *Sanitizer) CheckAccessRef(p vmem.Addr, w uint64, t report.AccessType) *
 // catch any overflow magnitude — this is what closes the redzone-bypass
 // false negatives of Table 5.
 func (g *Sanitizer) CheckAnchored(anchor, p vmem.Addr, w uint64, t report.AccessType) *report.Error {
+	end := p + vmem.Addr(w)
+	if end < p {
+		return g.wrapped(p, w, t)
+	}
 	if p >= anchor {
-		return accessSized(g.CheckRange(anchor, p+vmem.Addr(w), t), w)
+		return accessSized(g.CheckRange(anchor, end, t), w)
 	}
 	// Underflow side (negative offset): check [p, anchor) with a
 	// dedicated CI, plus the tail beyond the anchor if the access
@@ -394,8 +418,8 @@ func (g *Sanitizer) CheckAnchored(anchor, p vmem.Addr, w uint64, t report.Access
 	if err := g.CheckRange(p, anchor, t); err != nil {
 		return accessSized(err, w)
 	}
-	if p+vmem.Addr(w) > anchor {
-		return accessSized(g.CheckRange(anchor, p+vmem.Addr(w), t), w)
+	if end > anchor {
+		return accessSized(g.CheckRange(anchor, end, t), w)
 	}
 	return nil
 }

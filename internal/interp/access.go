@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"giantsan/internal/asan"
+	"giantsan/internal/core"
 	"giantsan/internal/instrument"
 	"giantsan/internal/ir"
 	"giantsan/internal/report"
@@ -25,6 +27,20 @@ import (
 //   - a store whose value is a variable or a constant reads it from its
 //     slot; any other value keeps its expression closure, evaluated only
 //     when the store executes.
+//
+// In front of that check call sits the access's inline front, the part of
+// the check a compiled sanitizer emits inline (see frontKind): GiantSan's
+// quasi-bound hit for a Cached access (Figure 9's off + w ≤ ub), its fast
+// check for an anchored Direct access (Algorithm 1, lines 1–3), and ASan's
+// first-segment test for a Direct access. An access the front passes
+// counts exactly what the check call would have counted and makes no
+// call; any other access falls through to the check call unchanged. Only
+// a sanitizer's own fast path gets a front: the reference path, a sampled
+// profile, LFP and every wrapped checker keep the check call alone. A
+// wrapper (trace.Recorder's recordingSan, the canary plants) embeds
+// san.Sanitizer, so the concrete-type test in checkers skips it, as it
+// must: the wrapper's own work — recording the access, a planted fault —
+// happens in the methods a front would bypass.
 
 // load compiles one *ir.Load into its fused closure.
 func (c *compiler) load(n *ir.Load) (stmtFn, error) {
@@ -33,7 +49,7 @@ func (c *compiler) load(n *ir.Load) (stmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	elim, check, err := c.guard(n, n.Base, n.Size)
+	elim, check, fr, err := c.guard(n, n.Base, n.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -45,11 +61,23 @@ func (c *compiler) load(n *ir.Load) (stmtFn, error) {
 		if ixFn != nil {
 			i = ixFn(s)
 		}
-		a := vmem.Addr(s.vars[b] + i*scale + off)
+		anchor, rel := vmem.Addr(s.vars[b]), i*scale+off
+		a := anchor + vmem.Addr(rel)
 		s.stats.Eliminated += elim
-		if check != nil && !check(s, a, report.Read) {
-			s.stats.Skipped++
-			return
+		if check != nil {
+			switch {
+			case fr.kind == frontCached && core.CacheHit(s.caches[fr.cache], anchor, rel, w):
+				s.stats.Cached++
+			case fr.kind == frontAnchored && fr.giant.FastAnchored(anchor, rel, w),
+				fr.kind == frontASan && fr.asan.FastAccess(a, w):
+				s.stats.Direct++
+				s.stats.FastOnly++
+			default:
+				if !check(s, a, report.Read) {
+					s.stats.Skipped++
+					return
+				}
+			}
 		}
 		o, size := a-s.base, uint64(len(s.mem))
 		if o > size || size-o < w {
@@ -70,7 +98,7 @@ func (c *compiler) store(n *ir.Store) (stmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	elim, check, err := c.guard(n, n.Base, n.Size)
+	elim, check, fr, err := c.guard(n, n.Base, n.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +113,23 @@ func (c *compiler) store(n *ir.Store) (stmtFn, error) {
 		if ixFn != nil {
 			i = ixFn(s)
 		}
-		a := vmem.Addr(s.vars[b] + i*scale + off)
+		anchor, rel := vmem.Addr(s.vars[b]), i*scale+off
+		a := anchor + vmem.Addr(rel)
 		s.stats.Eliminated += elim
-		if check != nil && !check(s, a, report.Write) {
-			s.stats.Skipped++
-			return
+		if check != nil {
+			switch {
+			case fr.kind == frontCached && core.CacheHit(s.caches[fr.cache], anchor, rel, w):
+				s.stats.Cached++
+			case fr.kind == frontAnchored && fr.giant.FastAnchored(anchor, rel, w),
+				fr.kind == frontASan && fr.asan.FastAccess(a, w):
+				s.stats.Direct++
+				s.stats.FastOnly++
+			default:
+				if !check(s, a, report.Write) {
+					s.stats.Skipped++
+					return
+				}
+			}
 		}
 		o, size := a-s.base, uint64(len(s.mem))
 		if o > size || size-o < w {
@@ -152,25 +192,69 @@ func storeLE(b []byte, w, v uint64) {
 // when the memory operation must be suppressed.
 type checkFn func(s *state, a vmem.Addr, t report.AccessType) bool
 
+// frontKind selects the inline front of one checked access.
+type frontKind uint8
+
+const (
+	// frontNone: the check call alone.
+	frontNone frontKind = iota
+	// frontCached: GiantSan's quasi-bound hit, core.CacheHit.
+	frontCached
+	// frontAnchored: GiantSan's fast check, (*core.Sanitizer).FastAnchored.
+	frontAnchored
+	// frontASan: ASan's first-segment test, (*asan.Sanitizer).FastAccess.
+	frontASan
+)
+
+// front is the inline front bound into one access closure: its kind, the
+// state cache index of a Cached access, and the checker a Direct front
+// calls. A closure holds it by pointer, so an access with no check pays
+// one captured word for it, not four.
+type front struct {
+	kind  frontKind
+	cache int
+	giant *core.Sanitizer
+	asan  *asan.Sanitizer
+}
+
 // guard binds the planned protection of one access: the amount it adds to
-// Eliminated (1 under ModeSkip, else 0) and the check closure, nil for the
-// check-free modes. A Group, Cached or Direct check sits behind the
-// profile's sampling gate when the profile samples.
-func (c *compiler) guard(st ir.Stmt, baseVar string, size int) (elim uint64, check checkFn, err error) {
+// Eliminated (1 under ModeSkip, else 0), the check closure, nil for the
+// check-free modes, and the inline front that runs before it. A Group,
+// Cached or Direct check sits behind the profile's sampling gate when the
+// profile samples, and then has no front: the gate decides first.
+func (c *compiler) guard(st ir.Stmt, baseVar string, size int) (elim uint64, check checkFn, fr *front, err error) {
+	fr = &front{}
 	switch mode := c.plan.Mode[st]; mode {
 	case instrument.ModeNone:
-		return 0, nil, nil
+		return 0, nil, fr, nil
 	case instrument.ModeSkip:
-		return 1, nil, nil
+		return 1, nil, fr, nil
 	case instrument.ModeGroup, instrument.ModeCached, instrument.ModeDirect:
-		check, err = c.plannedCheck(st, baseVar, size)
+		check, *fr, err = c.plannedCheck(st, baseVar, size)
 		if rate := c.plan.Profile.SampleRate; err == nil && rate > 1 {
-			check = sampledGate(check, uint64(rate))
+			check, *fr = sampledGate(check, uint64(rate)), front{}
 		}
-		return 0, check, err
+		return 0, check, fr, err
 	default:
-		return 0, nil, fmt.Errorf("access %T has unexpected mode %v", st, mode)
+		return 0, nil, fr, fmt.Errorf("access %T has unexpected mode %v", st, mode)
 	}
+}
+
+// checkers returns the runtime's checker when it is GiantSan or ASan
+// itself on its fast path, the only checkers an inline front may stand
+// in for; both are nil for any other checker.
+func (c *compiler) checkers() (*core.Sanitizer, *asan.Sanitizer) {
+	switch checker := c.run.San().(type) {
+	case *core.Sanitizer:
+		if !checker.Reference() {
+			return checker, nil
+		}
+	case *asan.Sanitizer:
+		if !checker.Reference() {
+			return nil, checker
+		}
+	}
+	return nil, nil
 }
 
 // sampledGate wraps a planned check in the deterministic 1-in-rate gate:
@@ -187,13 +271,15 @@ func sampledGate(inner checkFn, rate uint64) checkFn {
 	}
 }
 
-// plannedCheck builds the unsampled protection closure for one access.
-func (c *compiler) plannedCheck(st ir.Stmt, baseVar string, size int) (checkFn, error) {
+// plannedCheck builds the unsampled protection closure for one access and
+// its inline front.
+func (c *compiler) plannedCheck(st ir.Stmt, baseVar string, size int) (checkFn, front, error) {
 	mode := c.plan.Mode[st]
 	w := uint64(size)
 	checker := c.run.San()
 	sanStats := checker.Stats()
 	base := c.slot(baseVar)
+	giant, asanChecker := c.checkers()
 
 	switch mode {
 	case instrument.ModeGroup:
@@ -217,13 +303,17 @@ func (c *compiler) plannedCheck(st ir.Stmt, baseVar string, size int) (checkFn, 
 				return false
 			}
 			return true
-		}, nil
+		}, front{}, nil
 
 	case instrument.ModeCached:
 		info := c.facts.Info[st]
 		idx, err := c.cacheSlot(info.Loop, baseVar, instrument.AccessOf(st))
 		if err != nil {
-			return nil, err
+			return nil, front{}, err
+		}
+		var fr front
+		if giant != nil {
+			fr = front{kind: frontCached, cache: idx}
 		}
 		return func(s *state, a vmem.Addr, t report.AccessType) bool {
 			s.stats.Cached++
@@ -234,13 +324,23 @@ func (c *compiler) plannedCheck(st ir.Stmt, baseVar string, size int) (checkFn, 
 				return false
 			}
 			return true
-		}, nil
+		}, fr, nil
 
 	case instrument.ModeDirect:
+		// ASan's check of a Direct access is CheckAccess under either
+		// profile (its CheckAnchored defers to CheckAccess up to 8 bytes,
+		// past which FastAccess refuses), so its front fits both closures.
+		var fr front
+		if asanChecker != nil {
+			fr = front{kind: frontASan, asan: asanChecker}
+		}
 		// The anchored/plain choice is a compile-time property of the
 		// profile: bind the right closure once instead of re-branching on
 		// every executed access.
 		if c.plan.Profile.Anchor {
+			if giant != nil && w > 0 {
+				fr = front{kind: frontAnchored, giant: giant}
+			}
 			return func(s *state, a vmem.Addr, t report.AccessType) bool {
 				s.stats.Direct++
 				slowBefore := sanStats.SlowChecks
@@ -255,7 +355,7 @@ func (c *compiler) plannedCheck(st ir.Stmt, baseVar string, size int) (checkFn, 
 					return false
 				}
 				return true
-			}, nil
+			}, fr, nil
 		}
 		return func(s *state, a vmem.Addr, t report.AccessType) bool {
 			s.stats.Direct++
@@ -271,9 +371,9 @@ func (c *compiler) plannedCheck(st ir.Stmt, baseVar string, size int) (checkFn, 
 				return false
 			}
 			return true
-		}, nil
+		}, fr, nil
 
 	default:
-		return nil, fmt.Errorf("access %T has unexpected mode %v", st, mode)
+		return nil, front{}, fmt.Errorf("access %T has unexpected mode %v", st, mode)
 	}
 }

@@ -136,3 +136,34 @@ func TestGoldenDigest(t *testing.T) {
 		t.Fatalf("golden digest = %s, want %s (run with -golden.dump FILE and diff against the parent's dump)", got, goldenDigest)
 	}
 }
+
+// TestFastMatchesReference runs every golden program under each detecting
+// canary leg twice: on the sanitizer's fast path, where the interpreter
+// binds its inline fronts, and with rt.Config{Reference: true}, where it
+// binds none and every check takes the reference implementation. The two
+// runs must give identical ExecStats, san.Stats, checksum and reports.
+func TestFastMatchesReference(t *testing.T) {
+	progs := goldenPrograms()
+	legs := canary.Legs()[1:]
+	run := func(p *ir.Prog, leg canary.Leg, heap uint64, reference bool) string {
+		env := rt.Fork(rt.Config{Kind: leg.Kind, HeapBytes: heap, Reference: reference})
+		ex, err := interp.Prepare(p, leg.Profile, env)
+		if err != nil {
+			return goldenLine(p.Name, leg.Name(), nil, err)
+		}
+		return goldenLine(p.Name, leg.Name(), ex.Run(), nil)
+	}
+	_, err := parallel.Map(len(progs), parallel.Options{}, func(i int) (struct{}, error) {
+		gp := progs[i]
+		for _, leg := range legs {
+			fast := run(gp.build(), leg, gp.heap, false)
+			if ref := run(gp.build(), leg, gp.heap, true); fast != ref {
+				return struct{}{}, fmt.Errorf("%s under %s: fast path\n%s reference path\n%s", gp.name, leg.Name(), fast, ref)
+			}
+		}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -179,16 +179,6 @@ func (c *compiler) stmt(s ir.Stmt) (stmtFn, error) {
 	case *ir.Loop:
 		return c.loop(n)
 
-	case *ir.Call:
-		// A call into instrumented code: the body runs inline (the
-		// simulation has no calling convention to model); the analysis
-		// boundary was already applied by internal/analysis.
-		body, err := c.block(n.Body)
-		if err != nil {
-			return nil, err
-		}
-		return func(s *state) { runBlock(body, s) }, nil
-
 	case *ir.If:
 		cond, err := c.expr(n.Cond)
 		if err != nil {

@@ -366,7 +366,9 @@ func (r *Runtime) checkSlot(ref, p vmem.Addr, w uint64, t report.AccessType) *re
 		}
 		return &report.Error{Kind: kind, Access: t, Addr: p, Size: w, Detector: r.Name()}
 	}
-	if p < slot || p+vmem.Addr(w) > slot+vmem.Addr(size) {
+	// Written without p+w, whose wrap past 2^64 would pass an access
+	// that leaves the space.
+	if p < slot || w > size || p-slot > vmem.Addr(size-w) {
 		r.stats.Errors++
 		kind := report.HeapBufferOverflow
 		if p < slot {

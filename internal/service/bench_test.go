@@ -148,55 +148,55 @@ var (
 
 // BenchmarkWorkloadSession measures one workload session through the HTTP
 // handler on a warm arena: JSON request decode, queue hand-off, build,
-// prepare and run under GiantSan, and response encode. /check cycles
-// through the spec-check kernels, where the interpreter and the checks
-// dominate; /churn through the spec-churn kernels, where allocation and
-// poisoning do. Each response must be OK and carry the checksum of a
-// fresh rt.New run of its kernel.
+// prepare and run under GiantSan, and response encode. /check runs the
+// spec-check kernels, where the interpreter and the checks dominate;
+// /churn the spec-churn kernels, where allocation and poisoning do. Each
+// kernel is its own sub-benchmark (/check/500.perlbench_r, ...), so a
+// change that helps one kernel and costs another shows both. Each
+// response must be OK and carry the checksum of a fresh rt.New run of its
+// kernel.
 //
 //	go test ./internal/service -run '^$' -bench WorkloadSession -benchmem
 func BenchmarkWorkloadSession(b *testing.B) {
-	b.Run("check", func(b *testing.B) { benchWorkloadSessions(b, checkKernels) })
-	b.Run("churn", func(b *testing.B) { benchWorkloadSessions(b, churnKernels) })
-}
-
-func benchWorkloadSessions(b *testing.B, kernels []string) {
-	type session struct {
-		body, checksum string
-	}
-	var sessions []session
-	for _, id := range kernels {
-		w := workload.ByID(id)
-		ex, err := interp.Prepare(w.Build(1), instrument.GiantSanProfile,
-			rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: w.HeapBytes}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sessions = append(sessions, session{
-			body:     `{"workload":"` + id + `","sanitizer":"giantsan"}`,
-			checksum: fmt.Sprintf("%#x", ex.Run().Checksum),
+	for _, mix := range []struct {
+		name    string
+		kernels []string
+	}{{"check", checkKernels}, {"churn", churnKernels}} {
+		b.Run(mix.name, func(b *testing.B) {
+			for _, id := range mix.kernels {
+				b.Run(id, func(b *testing.B) { benchWorkloadSession(b, id) })
+			}
 		})
 	}
+}
+
+func benchWorkloadSession(b *testing.B, id string) {
+	w := workload.ByID(id)
+	ex, err := interp.Prepare(w.Build(1), instrument.GiantSanProfile,
+		rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: w.HeapBytes}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := `{"workload":"` + id + `","sanitizer":"giantsan"}`
+	checksum := fmt.Sprintf("%#x", ex.Run().Checksum)
 	e := New(Config{Workers: 1})
 	defer e.Close()
 	srv := NewServer(e)
-	run := func(s session) {
+	run := func() {
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sessions", strings.NewReader(s.body)))
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sessions", strings.NewReader(body)))
 		var resp Response
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Status != StatusOK {
 			b.Fatalf("session: %d %s", w.Code, w.Body.Bytes())
 		}
-		if resp.Checksum != s.checksum {
-			b.Fatalf("%s checksum %s, fresh run %s", resp.Workload, resp.Checksum, s.checksum)
+		if resp.Checksum != checksum {
+			b.Fatalf("%s checksum %s, fresh run %s", resp.Workload, resp.Checksum, checksum)
 		}
 	}
-	for _, s := range sessions { // warm the arena pool
-		run(s)
-	}
+	run() // warm the arena pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(sessions[i%len(sessions)])
+		run()
 	}
 }

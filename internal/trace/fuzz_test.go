@@ -73,7 +73,18 @@ func FuzzReadAll(f *testing.F) {
 //
 //	go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/trace
 func FuzzReplay(f *testing.F) {
+	newEnv := func() rt.Runtime { return rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: 1 << 16}) }
+	// Every fresh runtime places its first malloc at the same address, so
+	// this offset aims the 8-byte access at 0xfffffffffffffffc: its end
+	// wraps past 2^64, which the checkers must report, not pass.
+	first, err := newEnv().Malloc(16)
+	if err != nil {
+		f.Fatal(err)
+	}
 	addSeeds(f, []Event{
+		{Op: OpMalloc, Reg: 0, Size: 16},
+		{Op: OpAccess, Reg: 0, Off: int64(0xfffffffffffffffc - first), Width: 8},
+	}, []Event{
 		{Op: OpMalloc, Reg: 0xFFFFFFFF, Size: 16},
 		{Op: OpAccess, Reg: 0xFFFFFFFF, Off: 16, Width: 1},
 		{Op: OpFree, Reg: 0xFFFFFFFE},
@@ -86,7 +97,6 @@ func FuzzReplay(f *testing.F) {
 	// bytes, whose chunk rounding would wrap.
 	f.Add([]byte("GST1\x05\x07000000000000"))
 	f.Add([]byte("GST1\x01000000\xff\xff\xff\xff\xff\xff"))
-	newEnv := func() rt.Runtime { return rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: 1 << 16}) }
 	outcome := func(res *ReplayResult, err error) string {
 		if err != nil {
 			return "error: " + err.Error()
