@@ -2,6 +2,7 @@ package canary
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"giantsan/internal/ir"
@@ -51,12 +52,18 @@ type Counters struct {
 }
 
 // Canary generates programs, records them, triple-replays the traces and
-// diffs the legs. RunSeed is pure per seed (fresh runtimes, seed-driven
-// generation), so campaigns parallelize and replays are deterministic;
-// the counters are atomics shared across concurrent runs.
+// diffs the legs. RunSeed is pure per seed (seed-driven generation on
+// runtimes equivalent to fresh ones), so campaigns parallelize and
+// replays are deterministic; the counters are atomics shared across
+// concurrent runs.
 type Canary struct {
 	cfg   Config
 	plant Plant
+	// pool recycles the runtimes of the recorder and the three replay
+	// legs across seeds and shrink candidates. Each leg's runtime is a
+	// few hundred events' worth of dirt in a 16 MiB arena, so a reset is
+	// far cheaper than zeroing a fresh one.
+	pool *rt.Pool
 
 	runs          atomic.Uint64
 	discrepancies atomic.Uint64
@@ -74,7 +81,9 @@ func New(cfg Config) (*Canary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Canary{cfg: cfg.withDefaults(), plant: plant}, nil
+	// RunSeed may run on every processor at once; that bounds how many
+	// runtimes of one leg can be out of the pool together.
+	return &Canary{cfg: cfg.withDefaults(), plant: plant, pool: rt.NewPool(runtime.GOMAXPROCS(0))}, nil
 }
 
 // Snapshot reads the lifetime counters.
@@ -149,14 +158,14 @@ func (c *Canary) RunSeed(seed int64) (*Result, error) {
 	p, bug := programFor(seed)
 	res := &Result{Seed: seed, Program: p.Name, PlantedBug: bug}
 
-	events, err := RecordEvents(p, LegFor(c.cfg.Kind), c.cfg.HeapBytes)
+	events, err := c.recordEvents(p)
 	if err != nil {
 		c.failures.Add(1)
 		return res, fmt.Errorf("canary: seed %d: %w", seed, err)
 	}
 	res.Events = len(events)
 
-	res.Fast, res.Ref, res.Oracle, err = TripleReplay(events, c.cfg, c.plant)
+	res.Fast, res.Ref, res.Oracle, err = c.TripleReplay(events)
 	if err != nil {
 		c.failures.Add(1)
 		return res, fmt.Errorf("canary: seed %d: %w", seed, err)
@@ -171,7 +180,7 @@ func (c *Canary) RunSeed(seed int64) (*Result, error) {
 	// of divergence (invalid traces fail TripleReplay and the predicate).
 	want := res.Divergence.Kind
 	sh := Shrink(events, func(cand []trace.Event) bool {
-		f, r, o, rerr := TripleReplay(cand, c.cfg, c.plant)
+		f, r, o, rerr := c.TripleReplay(cand)
 		if rerr != nil {
 			return false
 		}
@@ -195,6 +204,16 @@ func (c *Canary) RunSeed(seed int64) (*Result, error) {
 		c.artifacts.Add(1)
 	}
 	return res, nil
+}
+
+// recordEvents records p under the canary's sanitizer on a runtime from
+// its pool: the recorder's key is the fast leg's, so the fast leg replays
+// on the runtime the recording just released.
+func (c *Canary) recordEvents(p *ir.Prog) (events []trace.Event, err error) {
+	leg := LegFor(c.cfg.Kind)
+	env, _ := c.pool.Get(rt.Config{Kind: leg.Kind, HeapBytes: c.cfg.HeapBytes})
+	defer func() { c.pool.Release(env, err == nil) }()
+	return recordEvents(p, leg.Profile, env)
 }
 
 // artifactMeta is the JSON schema of the persisted repro description.

@@ -94,7 +94,7 @@ func TestPlantedDivergenceShrinksToOneMinimal(t *testing.T) {
 
 			// The predicate the shrinker used, reconstructed independently.
 			reproduces := func(cand []trace.Event) bool {
-				f, r, o, rerr := TripleReplay(cand, c.cfg, c.plant)
+				f, r, o, rerr := c.TripleReplay(cand)
 				if rerr != nil {
 					return false
 				}
@@ -140,7 +140,7 @@ func TestArtifactPersistedAndReplayable(t *testing.T) {
 	if len(events) != res.MinEvents {
 		t.Fatalf("artifact has %d events, result says %d", len(events), res.MinEvents)
 	}
-	fast, ref, orc, err := TripleReplay(events, c.cfg, c.plant)
+	fast, ref, orc, err := c.TripleReplay(events)
 	if err != nil {
 		t.Fatalf("artifact trace does not replay: %v", err)
 	}

@@ -26,7 +26,11 @@ func corpusSeeds() int64 {
 func TestCorpusThreeWayAgreement(t *testing.T) {
 	for _, kind := range []rt.Kind{rt.GiantSan, rt.ASan, rt.ASanMinus} {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := Config{Kind: kind}.withDefaults()
+			c, err := New(Config{Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := c.cfg
 			detected := 0
 			for seed := int64(0); seed < corpusSeeds(); seed++ {
 				p, ok := progen.Buggy(seed)
@@ -37,7 +41,7 @@ func TestCorpusThreeWayAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				fast, ref, orc, err := TripleReplay(events, cfg, nil)
+				fast, ref, orc, err := c.TripleReplay(events)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -19,7 +19,7 @@ func TestSanLegShadowDigestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := sanLeg(events, cfg, false, nil)
+	obs, err := sanLeg(rt.NewPool(1), events, cfg, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

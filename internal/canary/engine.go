@@ -63,11 +63,11 @@ func LegFor(kind rt.Kind) Leg {
 	panic("canary: every sanitizer kind names a leg")
 }
 
-// Run executes p under leg on a fresh forked runtime with heapBytes of
-// heap. A panic during compilation or execution becomes an error, so one
+// Run executes p under leg on a fresh runtime with heapBytes of heap. A
+// panic during compilation or execution becomes an error, so one
 // pathological program cannot take a campaign down.
 func Run(p *ir.Prog, leg Leg, heapBytes uint64) (*interp.Result, error) {
-	return run(p, leg.Profile, rt.Fork(rt.Config{Kind: leg.Kind, HeapBytes: heapBytes}))
+	return run(p, leg.Profile, rt.New(rt.Config{Kind: leg.Kind, HeapBytes: heapBytes}))
 }
 
 func run(p *ir.Prog, prof instrument.Profile, env rt.Runtime) (res *interp.Result, err error) {
@@ -87,9 +87,14 @@ func run(p *ir.Prog, prof instrument.Profile, env rt.Runtime) (res *interp.Resul
 // its runtime, writing the encoded trace to w, and returns the run's
 // result.
 func Record(w io.Writer, p *ir.Prog, leg Leg, heapBytes uint64) (*interp.Result, error) {
+	return record(w, p, leg.Profile, rt.New(rt.Config{Kind: leg.Kind, HeapBytes: heapBytes}))
+}
+
+// record is Record on a given runtime.
+func record(w io.Writer, p *ir.Prog, prof instrument.Profile, env rt.Runtime) (*interp.Result, error) {
 	tw := trace.NewWriter(w)
-	rec := trace.NewRecorder(rt.Fork(rt.Config{Kind: leg.Kind, HeapBytes: heapBytes}), tw)
-	res, err := run(p, leg.Profile, rec)
+	rec := trace.NewRecorder(env, tw)
+	res, err := run(p, prof, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -104,8 +109,13 @@ func Record(w io.Writer, p *ir.Prog, leg Leg, heapBytes uint64) (*interp.Result,
 
 // RecordEvents is Record into memory, decoded back into events.
 func RecordEvents(p *ir.Prog, leg Leg, heapBytes uint64) ([]trace.Event, error) {
+	return recordEvents(p, leg.Profile, rt.New(rt.Config{Kind: leg.Kind, HeapBytes: heapBytes}))
+}
+
+// recordEvents is RecordEvents on a given runtime.
+func recordEvents(p *ir.Prog, prof instrument.Profile, env rt.Runtime) ([]trace.Event, error) {
 	var buf bytes.Buffer
-	if _, err := Record(&buf, p, leg, heapBytes); err != nil {
+	if _, err := record(&buf, p, prof, env); err != nil {
 		return nil, err
 	}
 	return trace.ReadAll(&buf)

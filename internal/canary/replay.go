@@ -65,20 +65,21 @@ func (d *Divergence) String() string {
 	return d.Kind + ": " + d.Detail
 }
 
-// sanLeg replays events on a fresh runtime per cfg, with the reference
-// path on or off, wrapping the runtime with plant when non-nil (fast leg
-// only). The observation is always collected from the unwrapped
+// sanLeg replays events on a runtime per cfg from pool, with the
+// reference path on or off, wrapping the runtime with plant when non-nil
+// (fast leg only). The observation is always collected from the unwrapped
 // environment, so a plant can only corrupt check behaviour, never the
 // measurement. Replay-level failures (a candidate that does not decode
 // or replay, or a panic from a pathological subsequence) return an
-// error: the candidate is invalid, not divergent.
-func sanLeg(events []trace.Event, cfg Config, reference bool, plant Plant) (obs Observation, err error) {
+// error: the candidate is invalid, not divergent, and the env is dropped.
+func sanLeg(pool *rt.Pool, events []trace.Event, cfg Config, reference bool, plant Plant) (obs Observation, err error) {
+	env, _ := pool.Get(rt.Config{Kind: cfg.Kind, HeapBytes: cfg.HeapBytes, Reference: reference})
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("canary: replay panic: %v", r)
 		}
+		pool.Release(env, err == nil)
 	}()
-	env := rt.New(rt.Config{Kind: cfg.Kind, HeapBytes: cfg.HeapBytes, Reference: reference})
 	run := rt.Runtime(env)
 	if plant != nil {
 		run = plant.Wrap(run)
@@ -113,16 +114,17 @@ func sanLeg(events []trace.Event, cfg Config, reference bool, plant Plant) (obs 
 	return obs, nil
 }
 
-// oracleLeg replays events against a ground-truth-only runtime: every
-// access and range is judged by the byte-granular oracle, every free by
-// object liveness, with no sanitizer verdict involved.
-func oracleLeg(events []trace.Event, cfg Config) (obs OracleObservation, err error) {
+// oracleLeg replays events against a ground-truth-only runtime from
+// pool: every access and range is judged by the byte-granular oracle,
+// every free by object liveness, with no sanitizer verdict involved.
+func oracleLeg(pool *rt.Pool, events []trace.Event, cfg Config) (obs OracleObservation, err error) {
+	env, _ := pool.Get(rt.Config{Kind: cfg.Kind, HeapBytes: cfg.HeapBytes, WithOracle: true})
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("canary: oracle replay panic: %v", r)
 		}
+		pool.Release(env, err == nil)
 	}()
-	env := rt.New(rt.Config{Kind: cfg.Kind, HeapBytes: cfg.HeapBytes, WithOracle: true})
 	orc := env.Oracle()
 	regs := map[uint32]vmem.Addr{}
 	frames := 0
@@ -203,18 +205,18 @@ func countAccesses(events []trace.Event) uint64 {
 	return n
 }
 
-// TripleReplay runs one trace under the fast path (plant applied, if
-// any), the reference path, and the oracle, each on a fresh runtime. An
-// error means the trace itself is invalid (shrink candidates routinely
-// are), not that the legs diverged.
-func TripleReplay(events []trace.Event, cfg Config, plant Plant) (fast, ref Observation, orc OracleObservation, err error) {
-	if fast, err = sanLeg(events, cfg, false, plant); err != nil {
+// TripleReplay runs one trace under the fast path (the canary's plant
+// applied, if any), the reference path, and the oracle, each on a
+// runtime from the canary's pool. An error means the trace itself is
+// invalid (shrink candidates routinely are), not that the legs diverged.
+func (c *Canary) TripleReplay(events []trace.Event) (fast, ref Observation, orc OracleObservation, err error) {
+	if fast, err = sanLeg(c.pool, events, c.cfg, false, c.plant); err != nil {
 		return
 	}
-	if ref, err = sanLeg(events, cfg, true, nil); err != nil {
+	if ref, err = sanLeg(c.pool, events, c.cfg, true, nil); err != nil {
 		return
 	}
-	orc, err = oracleLeg(events, cfg)
+	orc, err = oracleLeg(c.pool, events, c.cfg)
 	return
 }
 

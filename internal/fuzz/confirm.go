@@ -56,7 +56,7 @@ func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding
 	// fall back to the unshrunk trace when recording lost the bug (e.g. a
 	// purely compile-time detection).
 	test := func(cand []trace.Event) bool {
-		return replayClass(cand, c.cfg.HeapBytes) == cls
+		return c.replayClass(cand) == cls
 	}
 	minEvents := events
 	if test(events) {
@@ -76,15 +76,20 @@ func (c *campaign) confirm(p *ir.Prog, res *interp.Result, cls string) (*Finding
 	return f, nil
 }
 
-// replayClass replays events under an anchored GiantSan runtime and
-// returns the bug class of the first non-noise error ("" when clean or
-// the replay itself fails).
-func replayClass(events []trace.Event, heapBytes uint64) string {
-	env := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: heapBytes})
+// replayClass replays events under an anchored GiantSan runtime from the
+// campaign's pool and returns the bug class of the first non-noise error
+// ("" when clean or the replay itself fails). A clean replay shelves its
+// runtime for the next shrink candidate; a failed or panicking one drops
+// it.
+func (c *campaign) replayClass(events []trace.Event) string {
+	env, _ := c.pool.Get(rt.Config{Kind: rt.GiantSan, HeapBytes: c.cfg.HeapBytes})
+	ok := false
+	defer func() { c.pool.Release(env, ok) }()
 	rr, err := trace.ReplayEvents(events, env, true)
 	if err != nil {
 		return ""
 	}
+	ok = true
 	return findingClass(&rr.Errors)
 }
 

@@ -11,8 +11,8 @@
 //
 // Campaigns are deterministic at any parallelism level. Each generation
 // is scheduled serially (all randomness is drawn from the campaign rng
-// before workers start), executed in parallel over shared-nothing forked
-// runtimes (rt.Fork), and folded back in index order via parallel.Map's
+// before workers start), executed in parallel over shared-nothing
+// runtimes (rt.New), and folded back in index order via parallel.Map's
 // ordered results. Byte-identical reports at -parallel 1 and -parallel N
 // are a tested property, not an aspiration.
 package fuzz
@@ -165,6 +165,9 @@ type campaign struct {
 	corpus *Corpus
 	seen   map[uint64]bool
 	rep    *Report
+	// pool recycles the runtimes of the shrink loop's replays, hundreds
+	// of short traces of one config per finding.
+	pool *rt.Pool
 }
 
 // Run executes one campaign to detection of every bug class or budget
@@ -176,6 +179,7 @@ func Run(cfg Config) (*Report, error) {
 		rng:    rand.New(rand.NewSource(cfg.SeedBase ^ 0x67757a7a)),
 		corpus: NewCorpus(cfg.MaxCorpus),
 		seen:   make(map[uint64]bool),
+		pool:   rt.NewPool(cfg.Parallel),
 		rep: &Report{
 			Mode:     cfg.Mode.String(),
 			SeedBase: cfg.SeedBase,

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"giantsan/internal/rt"
 	"giantsan/internal/trace"
 )
 
@@ -88,6 +89,8 @@ func TestCampaignArtifacts(t *testing.T) {
 	if len(rep.Findings) == 0 {
 		t.Fatal("no findings")
 	}
+	// Replay the artifacts on runtimes of a new pool, not the campaign's.
+	fresh := &campaign{cfg: Config{HeapBytes: 4 << 20}, pool: rt.NewPool(1)}
 	for _, f := range rep.Findings {
 		if f.ArtifactTrace == "" || f.ArtifactMeta == "" || f.ArtifactProg == "" {
 			t.Fatalf("%s: missing artifact paths: %+v", f.Class, f)
@@ -100,7 +103,7 @@ func TestCampaignArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: artifact trace does not decode: %v", f.Class, err)
 		}
-		if got := replayClass(events, 4<<20); got != f.Class {
+		if got := fresh.replayClass(events); got != f.Class {
 			t.Errorf("%s: shrunk trace replays as %q", f.Class, got)
 		}
 		if f.MinEvents > f.OriginalEvents {

@@ -16,7 +16,7 @@ import (
 // dead across the whole operator set (bias extremes force every operator
 // to fire).
 func TestMutantsAreValid(t *testing.T) {
-	env := rt.Fork(rt.Config{Kind: rt.GiantSan, HeapBytes: 4 << 20})
+	env := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: 4 << 20})
 	parents := make([]*ir.Prog, 0, 8)
 	for s := int64(0); s < 8; s++ {
 		parents = append(parents, progen.Clean(s))

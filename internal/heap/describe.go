@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"sort"
 
 	"giantsan/internal/vmem"
 )
@@ -46,34 +47,50 @@ func (ci ChunkInfo) String() string {
 }
 
 // Locate finds the chunk whose full extent (redzones included) contains
-// addr, or the nearest chunk within slack bytes. It walks the chunk table
-// — an error-path-only cost, exactly like ASan's report machinery.
+// addr, or the nearest chunk within slack bytes. It is an error-path-only
+// cost, like ASan's report machinery, but it must stay cheap when a run
+// reports many errors against a heap of many objects, so it searches the
+// slab of chunk records instead of walking the registry: every record is
+// cut at the bump frontier, so slab order is address order and the
+// records tile the heap without gaps. Reserved records, which a thread
+// cache has carved but never registered, are skipped. Chunk bounds are
+// 8-byte aligned, so two chunks are never equally near an address.
 func (a *Allocator) Locate(addr vmem.Addr, slack uint64) (ChunkInfo, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	rec := func(i int) *chunk { return &a.slab[i/slabChunks][i%slabChunks] }
+	// i is the first record starting above addr: records below it start
+	// at or below addr, records from it on start above.
+	i := sort.Search(a.slabUsed, func(i int) bool { return rec(i).start > addr })
 	var best *chunk
 	var bestDist uint64 = ^uint64(0)
-	for _, c := range a.chunks {
-		lo, hi := c.start, c.start+vmem.Addr(c.size)
-		var dist uint64
-		switch {
-		case addr >= lo && addr < hi:
-			dist = 0
-		case addr < lo:
-			dist = uint64(lo - addr)
-		default:
-			dist = uint64(addr - hi + 1)
+	for j := i - 1; j >= 0; j-- {
+		if c := rec(j); c.state != stateReserved {
+			best, bestDist = c, 0
+			if hi := c.start + vmem.Addr(c.size); addr >= hi {
+				bestDist = uint64(addr - hi + 1)
+			}
+			break
 		}
-		if dist < bestDist {
-			bestDist = dist
-			best = c
+	}
+	for j := i; j < a.slabUsed; j++ {
+		if c := rec(j); c.state != stateReserved {
+			if dist := uint64(c.start - addr); dist < bestDist {
+				best, bestDist = c, dist
+			}
+			break
 		}
 	}
 	if best == nil || bestDist > slack {
 		return ChunkInfo{}, false
 	}
+	return best.info(addr), true
+}
+
+// info describes c as seen from addr.
+func (c *chunk) info(addr vmem.Addr) ChunkInfo {
 	state := "live"
-	switch best.state {
+	switch c.state {
 	case statePending:
 		state = "freed (pending flush)"
 	case stateQuarantined:
@@ -82,10 +99,10 @@ func (a *Allocator) Locate(addr vmem.Addr, slack uint64) (ChunkInfo, bool) {
 		state = "free"
 	}
 	return ChunkInfo{
-		UserBase: best.userBase,
-		UserSize: best.userSize,
+		UserBase: c.userBase,
+		UserSize: c.userSize,
 		State:    state,
-		Label:    best.label,
-		Offset:   int64(addr) - int64(best.userBase),
-	}, true
+		Label:    c.label,
+		Offset:   int64(addr) - int64(c.userBase),
+	}
 }

@@ -146,7 +146,7 @@ func TestFastMatchesReference(t *testing.T) {
 	progs := goldenPrograms()
 	legs := canary.Legs()[1:]
 	run := func(p *ir.Prog, leg canary.Leg, heap uint64, reference bool) string {
-		env := rt.Fork(rt.Config{Kind: leg.Kind, HeapBytes: heap, Reference: reference})
+		env := rt.New(rt.Config{Kind: leg.Kind, HeapBytes: heap, Reference: reference})
 		ex, err := interp.Prepare(p, leg.Profile, env)
 		if err != nil {
 			return goldenLine(p.Name, leg.Name(), nil, err)

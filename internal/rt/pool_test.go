@@ -1,19 +1,18 @@
-package service
+package rt
 
 import (
 	"testing"
 
-	"giantsan/internal/rt"
 	"giantsan/internal/san"
 )
 
-func poolCfg(heapKiB uint64) rt.Config {
-	return rt.Config{Kind: rt.GiantSan, HeapBytes: heapKiB << 10, StackBytes: 64 << 10}
+func poolCfg(heapKiB uint64) Config {
+	return Config{Kind: GiantSan, HeapBytes: heapKiB << 10, StackBytes: 64 << 10}
 }
 
 // useArena leaves observable state in the env: non-zero sanitizer stats
 // and dirtied heap bytes. Reset would erase both.
-func useArena(t *testing.T, env *rt.Env) {
+func useArena(t *testing.T, env *Env) {
 	t.Helper()
 	p, err := env.Malloc(128)
 	if err != nil {
@@ -31,7 +30,7 @@ func useArena(t *testing.T, env *rt.Env) {
 // the drop path does no reset work — observable as the dropped arena
 // keeping its stats and dirty bytes.
 func TestPutOverCapacitySkipsReset(t *testing.T) {
-	pool := NewArenaPool(1)
+	pool := NewPool(1)
 	cfg := poolCfg(256)
 	a, _ := pool.Get(cfg)
 	b, _ := pool.Get(cfg)
@@ -60,9 +59,9 @@ func TestPutOverCapacitySkipsReset(t *testing.T) {
 // seeing many distinct configs grew the map without bound. Keys must
 // track live shelves only.
 func TestPoolShelvesAreDeleted(t *testing.T) {
-	pool := NewArenaPool(2)
+	pool := NewPool(2)
 	const distinct = 8
-	envs := make([]*rt.Env, distinct)
+	envs := make([]*Env, distinct)
 	for i := range envs {
 		env, warm := pool.Get(poolCfg(uint64(64 * (i + 1))))
 		if warm {
@@ -87,17 +86,18 @@ func TestPoolShelvesAreDeleted(t *testing.T) {
 	}
 }
 
-// TestPoolArenasAreForked pins the cold path to rt.Fork: pool arenas are lazy
-// copy-on-write forks whose residency returns to zero on recycle.
+// TestPoolArenasAreForked pins the cold path to New: pool arenas are lazy
+// copy-on-write forks, unlike an all-private shadow, and their residency
+// returns to zero on recycle.
 func TestPoolArenasAreForked(t *testing.T) {
-	pool := NewArenaPool(1)
+	pool := NewPool(1)
 	cfg := poolCfg(256)
 	env, warm := pool.Get(cfg)
 	if pages, bytes := env.OverlayStats(); warm || pages != 0 || bytes != 0 {
 		t.Fatalf("cold Get: warm=%v, %d private pages, %d bytes; want a cold fork", warm, pages, bytes)
 	}
-	if pages, bytes := rt.New(cfg).OverlayStats(); bytes != env.ShadowBytes() || pages == 0 {
-		t.Fatalf("New: %d private pages, %d bytes; want all %d shadow bytes", pages, bytes, env.ShadowBytes())
+	if pages, bytes := newPrivate(cfg).OverlayStats(); bytes != env.ShadowBytes() || pages == 0 {
+		t.Fatalf("all-private: %d private pages, %d bytes; want all %d shadow bytes", pages, bytes, env.ShadowBytes())
 	}
 	useArena(t, env)
 	if pages, _ := env.OverlayStats(); pages == 0 {
@@ -117,16 +117,16 @@ func TestPoolArenasAreForked(t *testing.T) {
 // contention: concurrent Puts against a small shelf must never
 // oversubscribe it, and the books (shelved + dropped) must close.
 func TestPoolPutRaces(t *testing.T) {
-	pool := NewArenaPool(2)
+	pool := NewPool(2)
 	cfg := poolCfg(64)
 	const n = 8
-	envs := make([]*rt.Env, n)
+	envs := make([]*Env, n)
 	for i := range envs {
 		envs[i], _ = pool.Get(cfg)
 	}
 	done := make(chan struct{})
 	for _, env := range envs {
-		go func(e *rt.Env) { pool.Put(e); done <- struct{}{} }(env)
+		go func(e *Env) { pool.Put(e); done <- struct{}{} }(env)
 	}
 	for range envs {
 		<-done

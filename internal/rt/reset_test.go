@@ -15,24 +15,50 @@ import (
 	"giantsan/internal/vmem"
 )
 
-// resetConfigs enumerates every pooled-arena configuration the service
-// layer can recycle: all shadow sanitizer kinds, both code paths, both
-// UAR modes. Oracles stay on so ground truth is part of the comparison.
-func resetConfigs() []Config {
-	var cfgs []Config
-	for _, kind := range []Kind{GiantSan, ASan, ASanMinus} {
+// resetCase is one Config shape the differential suites cover, under the
+// subtest name it reports as.
+type resetCase struct {
+	name string
+	cfg  Config
+}
+
+// resetConfigs enumerates every Config shape a harness recycles through a
+// Pool. The core matrix is all shadow sanitizer kinds, both code paths
+// and both UAR modes, with a tiny quarantine and the oracle on so ground
+// truth is part of the comparison. Then the shapes the harnesses key
+// their pools on: the canary's 16 MiB fast, reference and oracle legs
+// (the fast key is also its recorder's), the fuzz campaign's 4 MiB
+// replay, and non-default redzone, stack and quarantine sizes.
+func resetConfigs() []resetCase {
+	var cases []resetCase
+	kinds := []Kind{GiantSan, ASan, ASanMinus}
+	for _, kind := range kinds {
 		for _, ref := range []bool{false, true} {
 			for _, uar := range []bool{false, true} {
-				cfgs = append(cfgs, Config{
-					Kind: kind, Reference: ref, DetectUAR: uar,
-					HeapBytes: 256 << 10, StackBytes: 64 << 10,
-					QuarantineBytes: 4 << 10, // tiny: forces eviction churn
-					WithOracle:      true,
+				cases = append(cases, resetCase{
+					name: fmt.Sprintf("%s/ref=%v/uar=%v", kind, ref, uar),
+					cfg: Config{
+						Kind: kind, Reference: ref, DetectUAR: uar,
+						HeapBytes: 256 << 10, StackBytes: 64 << 10,
+						QuarantineBytes: 4 << 10, // tiny: forces eviction churn
+						WithOracle:      true,
+					},
 				})
 			}
 		}
 	}
-	return cfgs
+	for _, kind := range kinds {
+		cases = append(cases,
+			resetCase{fmt.Sprintf("canary-fast/%s", kind), Config{Kind: kind, HeapBytes: 16 << 20}},
+			resetCase{fmt.Sprintf("canary-reference/%s", kind), Config{Kind: kind, HeapBytes: 16 << 20, Reference: true}},
+			resetCase{fmt.Sprintf("canary-oracle/%s", kind), Config{Kind: kind, HeapBytes: 16 << 20, WithOracle: true}},
+			resetCase{fmt.Sprintf("sizes/%s", kind), Config{
+				Kind: kind, HeapBytes: 512 << 10, StackBytes: 128 << 10,
+				Redzone: 40, QuarantineBytes: 8 << 10, WithOracle: true,
+			}},
+		)
+	}
+	return append(cases, resetCase{"fuzz-replay", Config{Kind: GiantSan, HeapBytes: 4 << 20}})
 }
 
 // envShadow digs the shadow array out of an Env for byte comparison.
@@ -166,11 +192,10 @@ func churn(t *testing.T, e *Env) string {
 // this, the service arena pool could leak one tenant's poison, data, or
 // counters into the next tenant's session.
 func TestResetMatchesFresh(t *testing.T) {
-	for _, cfg := range resetConfigs() {
-		cfg := cfg
-		name := fmt.Sprintf("%s/ref=%v/uar=%v", cfg.Kind, cfg.Reference, cfg.DetectUAR)
-		t.Run(name, func(t *testing.T) {
-			fresh := New(cfg)
+	for _, rc := range resetConfigs() {
+		cfg := rc.cfg
+		t.Run(rc.name, func(t *testing.T) {
+			fresh := newPrivate(cfg)
 			recycled := New(cfg)
 			dirty(t, recycled)
 			recycled.Reset()
@@ -192,13 +217,7 @@ func TestResetMatchesFresh(t *testing.T) {
 				t.Fatalf("reference path flipped by reset: got %v", rp.Reference())
 			}
 
-			// Oracle ground truth: every byte back to Unallocated.
-			base, size := recycled.Space().Base(), recycled.Space().Size()
-			for off := uint64(0); off < size; off += 1 + off/97 {
-				if st := recycled.Oracle().StateAt(base + off); st != oracle.Unallocated {
-					t.Fatalf("oracle state at +%d = %v after reset, want Unallocated", off, st)
-				}
-			}
+			requireOracleCleared(t, recycled)
 
 			// Behavioral equivalence: the same workload on the recycled env
 			// must produce the identical outcome digest, error for error and
@@ -213,12 +232,13 @@ func TestResetMatchesFresh(t *testing.T) {
 				t.Fatal("shadow images diverge after identical post-reset workloads")
 			}
 
-			// The churn input on a reset arena, twice, against a fresh fork.
-			want = churn(t, Fork(cfg))
+			// The churn input on a reset arena, twice, against a fresh
+			// all-private env.
+			want = churn(t, newPrivate(cfg))
 			for i := 0; i < 2; i++ {
 				recycled.Reset()
 				if got := churn(t, recycled); got != want {
-					t.Fatalf("churn %d on the recycled env diverges from a fresh fork:\nfork:     %s\nrecycled: %s", i, want, got)
+					t.Fatalf("churn %d on the recycled env diverges from a fresh env:\nfresh:    %s\nrecycled: %s", i, want, got)
 				}
 			}
 		})
@@ -240,28 +260,42 @@ func requireEnvEqual(t *testing.T, want, got *Env, context string) {
 	}
 }
 
+// requireOracleCleared asserts that an oracle-carrying Env's ground truth
+// is back to Unallocated everywhere it samples; Envs without an oracle
+// pass trivially.
+func requireOracleCleared(t *testing.T, e *Env) {
+	t.Helper()
+	if e.Oracle() == nil {
+		return
+	}
+	base, size := e.Space().Base(), e.Space().Size()
+	for off := uint64(0); off < size; off += 1 + off/97 {
+		if st := e.Oracle().StateAt(base + off); st != oracle.Unallocated {
+			t.Fatalf("oracle state at +%d = %v after reset, want Unallocated", off, st)
+		}
+	}
+}
+
 // TestForkMatchesFresh extends the pooling-safety contract to lazily
-// forked arenas: for every pooled configuration, a Fork(cfg) must be
-// observably identical to New(cfg) — pristine, after the same workload,
-// and after Reset. This is the differential proof that a shadow whose
-// pages materialize on first write is indistinguishable from one whose
-// pages were all privatized up front.
+// forked arenas: for every pooled configuration, New(cfg) — a fork whose
+// shadow pages materialize on first write — must be observably identical
+// to the all-private reference env, whose pages were all privatized up
+// front: pristine, after the same workload, and after Reset.
 func TestForkMatchesFresh(t *testing.T) {
-	for _, cfg := range resetConfigs() {
-		cfg := cfg
-		name := fmt.Sprintf("%s/ref=%v/uar=%v", cfg.Kind, cfg.Reference, cfg.DetectUAR)
-		t.Run(name, func(t *testing.T) {
-			fresh := New(cfg)
-			fork := Fork(cfg)
+	for _, rc := range resetConfigs() {
+		cfg := rc.cfg
+		t.Run(rc.name, func(t *testing.T) {
+			fresh := newPrivate(cfg)
+			fork := New(cfg)
 			requireEnvEqual(t, fresh, fork, "pristine fork vs fresh")
-			// The constructors differ only in residency: a cold fork holds
-			// no private page, New holds all of them.
+			// The two differ only in residency: a cold fork holds no
+			// private page, the all-private env holds all of them.
 			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
 				t.Fatalf("pristine fork resident: %d pages, %d bytes", pages, b)
 			}
 			total := fresh.ShadowBytes()
 			if pages, b := fresh.OverlayStats(); pages != (total+shadow.PageBytes-1)/shadow.PageBytes || b != total {
-				t.Fatalf("fresh New resident: %d pages, %d bytes; want all %d bytes", pages, b, total)
+				t.Fatalf("all-private env resident: %d pages, %d bytes; want all %d bytes", pages, b, total)
 			}
 
 			// The identical workload must produce the identical outcome
@@ -277,15 +311,16 @@ func TestForkMatchesFresh(t *testing.T) {
 				t.Fatalf("overlay stats after workload: %d pages, %d bytes", pages, b)
 			}
 			// Residency is proportional to what was dirtied, not to the
-			// arena: the workload touches a few dozen KiB of a 256 KiB heap.
+			// arena: the workload touches a few dozen KiB of a heap of at
+			// least 256 KiB.
 			if b >= total {
 				t.Fatalf("overlay resident %d bytes >= whole shadow %d", b, total)
 			}
 
-			// Reset = overlay drop: byte-identical to a never-used fork and
-			// to a fresh New env, with zero residual residency.
+			// Reset = overlay drop: byte-identical to a never-used env, with
+			// zero residual residency.
 			fork.Reset()
-			requireEnvEqual(t, New(cfg), fork, "after reset")
+			requireEnvEqual(t, newPrivate(cfg), fork, "after reset")
 			if pages, b := fork.OverlayStats(); pages != 0 || b != 0 {
 				t.Fatalf("post-reset fork resident: %d pages, %d bytes", pages, b)
 			}
@@ -294,40 +329,31 @@ func TestForkMatchesFresh(t *testing.T) {
 			}
 
 			// Oracle ground truth cleared, as in the reset suite.
-			base, size := fork.Space().Base(), fork.Space().Size()
-			for off := uint64(0); off < size; off += 1 + off/97 {
-				if st := fork.Oracle().StateAt(base + off); st != oracle.Unallocated {
-					t.Fatalf("oracle state at +%d = %v after reset", off, st)
-				}
-			}
+			requireOracleCleared(t, fork)
 
 			// And the recycled fork still behaves exactly like fresh.
 			if again := dirty(t, fork); again != want {
 				t.Fatalf("recycled fork diverges:\nfresh: %s\nfork:  %s", want, again)
 			}
 
-			// The churn input on the recycled fork against a fresh one.
+			// The churn input on the recycled fork against a fresh env.
 			fork.Reset()
-			if want, got := churn(t, Fork(cfg)), churn(t, fork); got != want {
-				t.Fatalf("churn on the recycled fork diverges:\nfresh fork: %s\nrecycled:   %s", want, got)
+			if want, got := churn(t, newPrivate(cfg)), churn(t, fork); got != want {
+				t.Fatalf("churn on the recycled fork diverges:\nfresh:    %s\nrecycled: %s", want, got)
 			}
 		})
 	}
 }
 
-// TestForkSiblingsAreIsolated pins the sharing boundary: two forks of the
-// same base image must not observe each other's writes, and the registry
-// serves one image per normalized config.
+// TestForkSiblingsAreIsolated pins the isolation boundary: two Envs of
+// the same config must not observe each other's writes.
 func TestForkSiblingsAreIsolated(t *testing.T) {
 	cfg := Config{Kind: GiantSan, HeapBytes: 256 << 10, StackBytes: 64 << 10, WithOracle: true}
-	a, b := Fork(cfg), Fork(cfg)
+	a, b := New(cfg), New(cfg)
 	dirty(t, a)
-	requireEnvEqual(t, New(cfg), b, "sibling after a's workload")
+	requireEnvEqual(t, newPrivate(cfg), b, "sibling after a's workload")
 	if pages, bb := b.OverlayStats(); pages != 0 || bb != 0 {
 		t.Fatalf("sibling gained residency: %d pages, %d bytes", pages, bb)
-	}
-	if n := ImageRegistrySize(); n < 1 {
-		t.Fatalf("registry size %d after forks", n)
 	}
 }
 
@@ -335,7 +361,7 @@ func TestForkSiblingsAreIsolated(t *testing.T) {
 // already-clean env must keep it byte-for-byte fresh.
 func TestResetIdempotent(t *testing.T) {
 	cfg := Config{Kind: GiantSan, HeapBytes: 256 << 10, StackBytes: 64 << 10, WithOracle: true}
-	fresh := New(cfg)
+	fresh := newPrivate(cfg)
 	env := New(cfg)
 	dirty(t, env)
 	env.Reset()

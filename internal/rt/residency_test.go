@@ -22,7 +22,7 @@ func TestForkResidencyTracksDirtiedPages(t *testing.T) {
 	}
 	dirtied := -1
 	for _, heap := range []uint64{w.HeapBytes, 256 << 20} {
-		env := rt.Fork(rt.Config{Kind: rt.GiantSan, HeapBytes: heap})
+		env := rt.New(rt.Config{Kind: rt.GiantSan, HeapBytes: heap})
 		ex, err := interp.Prepare(w.Build(1), instrument.GiantSanProfile, env)
 		if err != nil {
 			t.Fatalf("heap %d MiB: %v", heap>>20, err)

@@ -7,6 +7,15 @@
 // the detection suites program against; GiantSan, ASan and ASan-- use the
 // generic Env implementation, while LFP (internal/lfp) provides its own
 // because its allocator is the metadata.
+//
+// An Env has one lifecycle. New is the only constructor: it forks the
+// uniform base image of the Env's own space, so construction writes no
+// shadow bytes. Pool is the only recycler: it shelves Envs per
+// normalized Config and hands them out again after Reset, which costs
+// what the previous run dirtied rather than what the arena holds. The
+// service's session engine, the canary's replay legs and the fuzzer's
+// shrink loop all draw from a Pool they own. Every Env is driven by one
+// goroutine at a time.
 package rt
 
 import (
@@ -18,6 +27,7 @@ import (
 	"giantsan/internal/oracle"
 	"giantsan/internal/report"
 	"giantsan/internal/san"
+	"giantsan/internal/shadow"
 	"giantsan/internal/stack"
 	"giantsan/internal/vmem"
 )
@@ -103,7 +113,7 @@ type Env struct {
 
 // Normalize returns cfg with New's sizing defaults filled in. Two configs
 // with equal normal forms produce interchangeable Envs, which is the
-// equivalence the service layer's arena pool keys on.
+// equivalence Pool keys on.
 func (cfg Config) Normalize() Config {
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = 32 << 20
@@ -117,31 +127,31 @@ func (cfg Config) Normalize() Config {
 	return cfg
 }
 
-// New builds a runtime per cfg.
+// New builds a runtime per cfg. Its shadow is a lazy copy-on-write fork
+// of the uniform base image of cfg's space, the way GiantSan's runtime
+// reserves its shadow with mmap and lets the kernel fill it in page by
+// page: construction writes no shadow bytes, and the resident shadow
+// grows only with the pages the runtime dirties (OverlayStats reports
+// them). The one cost that scales with the arena is vmem.NewSpace
+// zeroing the application bytes, which Pool avoids by recycling Envs.
+//
+// An Env is single-goroutine: two disjoint writes may land on the same
+// clean shadow page and race on its materialization (see package
+// shadow). Only heap's concurrent thread-cache tests drive one
+// sanitizer from several goroutines, and they build it all-private with
+// core.New or asan.New.
 func New(cfg Config) *Env {
 	cfg = cfg.Normalize()
 	sp := vmem.NewSpace(cfg.spaceBytes())
 	var s san.Sanitizer
 	switch cfg.Kind {
 	case ASan:
-		s = asan.New(sp)
+		s = asan.Fork(asan.BaseImage(sp))
 	case ASanMinus:
-		s = asan.NewMinus(sp)
+		s = asan.ForkMinus(asan.BaseImage(sp))
 	default:
-		s = core.New(sp)
+		s = core.Fork(core.BaseImage(sp))
 	}
-	return assemble(cfg, sp, s)
-}
-
-// spaceBytes is the total simulated-space size cfg implies. cfg must be
-// normalized.
-func (cfg Config) spaceBytes() uint64 {
-	return cfg.HeapBytes + cfg.StackBytes + cfg.GlobalBytes
-}
-
-// assemble wires a sanitizer into a complete Env — the shared tail of New
-// and Fork. cfg must be normalized and s must cover sp.
-func assemble(cfg Config, sp *vmem.Space, s san.Sanitizer) *Env {
 	var o *oracle.Oracle
 	if cfg.WithOracle {
 		o = oracle.New(sp)
@@ -166,21 +176,26 @@ func assemble(cfg Config, sp *vmem.Space, s san.Sanitizer) *Env {
 		Start:     heapLimit,
 		Limit:     stackLimit,
 	})
-	rz := cfg.Redzone
-	if rz == 0 {
-		rz = heap.DefaultRedzone
-	}
-	rz = (rz + 7) &^ 7
 	return &Env{
 		cfg: cfg, space: sp, san: s, heap: h, stack: st, oracle: o,
 		heapStart: heapStart, stackStart: heapLimit, globalStart: stackLimit,
-		globalBump: stackLimit, globalLimit: sp.Limit(), globalRZ: rz,
+		globalBump: stackLimit, globalLimit: sp.Limit(), globalRZ: h.Redzone(),
 	}
+}
+
+// Fork is New. It remains only for the session benchmark, which calls it
+// by this name; delete it once that caller moves to New.
+func Fork(cfg Config) *Env { return New(cfg) }
+
+// spaceBytes is the total simulated-space size cfg implies. cfg must be
+// normalized.
+func (cfg Config) spaceBytes() uint64 {
+	return cfg.HeapBytes + cfg.StackBytes + cfg.GlobalBytes
 }
 
 // Config returns the configuration the Env was built with, with New's
 // defaults filled in. Two Envs with equal Configs are interchangeable,
-// which is what the service layer's arena pool keys on.
+// which is what Pool keys on.
 func (e *Env) Config() Config { return e.cfg }
 
 // Reset returns the Env to a state observably identical to a fresh
@@ -193,12 +208,10 @@ func (e *Env) Config() Config { return e.cfg }
 // shadow drop is O(dirty pages) — not to the arena size, which is what
 // makes pooling Envs cheaper than rebuilding them.
 //
-// After Reset every shadow page is clean, as in a fresh Fork, so the Env
-// carries Fork's single-goroutine contract whichever constructor built it.
-//
 // The differential reset suite (reset_test.go) enforces byte-for-byte
-// equivalence with a fresh Env for every sanitizer kind, so a pooled
-// arena can never leak one tenant's poison or data into the next.
+// equivalence with a fresh all-private reference Env for every sanitizer
+// kind and every Config shape a harness pools, so a pooled arena can
+// never leak one tenant's poison or data into the next.
 func (e *Env) Reset() {
 	rs, ok := e.san.(san.Resetter)
 	if !ok {
@@ -281,3 +294,31 @@ func (e *Env) Heap() *heap.Allocator { return e.heap }
 
 // Stack exposes the stack allocator for tests.
 func (e *Env) Stack() *stack.Stack { return e.stack }
+
+// shadowed is satisfied by the sanitizers that expose their shadow memory
+// (core and asan do; LFP has none).
+type shadowed interface {
+	Shadow() *shadow.Memory
+}
+
+// ShadowBytes returns the size of the Env's whole shadow plane — one byte
+// per 8-byte segment over the address space. It is the ceiling
+// OverlayStats is measured against: the bytes an all-private shadow
+// (core.New, asan.New) holds up front.
+func (e *Env) ShadowBytes() int {
+	if sh, ok := e.san.(shadowed); ok {
+		return sh.Shadow().NumSegments()
+	}
+	return 0
+}
+
+// OverlayStats reports the resident overlay footprint of the Env's shadow:
+// privatized pages and their bytes. Zero for a fresh Env and right after
+// Reset — the "per-tenant memory proportional to dirtied pages" number
+// TestForkResidencyTracksDirtiedPages pins on a real kernel.
+func (e *Env) OverlayStats() (pages int, bytes int) {
+	if sh, ok := e.san.(shadowed); ok {
+		return sh.Shadow().OverlayStats()
+	}
+	return 0, 0
+}

@@ -18,8 +18,8 @@ import (
 )
 
 // The arena-pool acceptance numbers: recycling a warm arena must beat
-// building a cold one. A cold rt.New pays a byte-wise CodeUnallocated
-// fill over the whole shadow; Reset scrubs only the bytes a session
+// building a cold one. A cold rt.New writes no shadow bytes but zeroes
+// the whole application space; Reset scrubs only the bytes a session
 // actually dirtied, so the gap widens with arena size.
 //
 //	go test ./internal/service -bench Arena -benchtime 100x
@@ -54,7 +54,7 @@ func BenchmarkArenaColdNew(b *testing.B) {
 }
 
 func BenchmarkArenaWarmRecycle(b *testing.B) {
-	pool := NewArenaPool(1)
+	pool := rt.NewPool(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

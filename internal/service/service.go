@@ -270,7 +270,7 @@ type counters struct {
 type Engine struct {
 	cfg    Config
 	pool   *parallel.Pool
-	arenas *ArenaPool
+	arenas *rt.Pool
 	m      counters
 	nextID atomic.Uint64
 
@@ -316,7 +316,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		pool:     parallel.NewPool(cfg.Workers, cfg.QueueDepth),
-		arenas:   NewArenaPool(cfg.ArenasPerKey),
+		arenas:   rt.NewPool(cfg.ArenasPerKey),
 		prepare:  interp.Prepare,
 		perSan:   make(map[string]*san.Stats),
 		perTier:  make(map[string]uint64),
@@ -392,12 +392,6 @@ func (e *Engine) Close() {
 	}
 	e.pool.Close()
 	e.canaryWG.Wait()
-}
-
-// sanConfigByLabel resolves a sanitizer label: every Table 2 column plus
-// the tier-only configurations (fullcheck, sampled8).
-func sanConfigByLabel(label string) *bench.SanConfig {
-	return bench.ConfigByLabel(label)
 }
 
 // tierIndex resolves a tier name to its ladder index, or -1.
@@ -476,7 +470,7 @@ func (e *Engine) validate(req *Request) error {
 	case req.Sanitizer == "":
 		req.Sanitizer = "giantsan"
 	}
-	if req.Tier == "" && sanConfigByLabel(req.Sanitizer) == nil {
+	if req.Tier == "" && bench.ConfigByLabel(req.Sanitizer) == nil {
 		return fmt.Errorf("unknown sanitizer %q", req.Sanitizer)
 	}
 	if (req.Workload == "") == (req.TraceB64 == "") {
@@ -560,7 +554,7 @@ func (e *Engine) ArenaStats() ArenaStats { return e.arenas.Stats() }
 // runSession executes one session on a worker goroutine. Panic isolation
 // lives here: whatever a poisoned session does, the worker survives, the
 // panicking session's arena is dropped (never returned to the pool, but
-// counted — see ArenaPool.Drop), and the tenant gets a StatusError
+// counted — see rt.Pool.Drop), and the tenant gets a StatusError
 // response instead of taking the server down with it. A panicked session
 // still completes: it passes through finish like any other, so the
 // started == completed + in-flight invariant holds whatever tenants do.
@@ -697,7 +691,7 @@ func errorResponse(id uint64, req *Request, arena, msg string) *Response {
 // before any environment is built.
 func (e *Engine) runWorkload(id uint64, req *Request, arena *string) *Response {
 	w := workload.ByID(req.Workload)
-	if fail := bench.LFPFailure(w.ID); fail != "" && sanConfigByLabel(req.Sanitizer).IsLFP {
+	if fail := bench.LFPFailure(w.ID); fail != "" && bench.ConfigByLabel(req.Sanitizer).IsLFP {
 		*arena = "unpooled"
 		return errorResponse(id, req, *arena, fmt.Sprintf("lfp cannot run %s (%s, Table 2)", w.ID, fail))
 	}
@@ -765,7 +759,7 @@ type untouchedError struct{ error }
 // the pool's books.
 func (e *Engine) runSource(id uint64, req *Request, arena *string, heapBytes, lfpHeapBytes uint64,
 	exec func(env rt.Runtime, prof instrument.Profile) (*Response, *report.Log, error)) *Response {
-	cfg := sanConfigByLabel(req.Sanitizer)
+	cfg := bench.ConfigByLabel(req.Sanitizer)
 	var (
 		env  rt.Runtime
 		keep bool
@@ -782,13 +776,7 @@ func (e *Engine) runSource(id uint64, req *Request, arena *string, heapBytes, lf
 		if warm {
 			*arena = "warm"
 		}
-		defer func() {
-			if keep {
-				e.arenas.Put(pooled)
-			} else {
-				e.arenas.Drop(pooled)
-			}
-		}()
+		defer func() { e.arenas.Release(pooled, keep) }()
 	}
 
 	resp, log, err := exec(env, cfg.Profile)

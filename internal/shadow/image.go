@@ -9,9 +9,10 @@ import (
 
 // Copy-on-write base images. Every arena of a given runtime configuration
 // starts from the *same* pristine pre-poisoned shadow. An Image captures
-// that snapshot once, immutably, and every Memory is a page table over
-// one: clean pages alias the image, and the first write to a page
-// privatizes (materializes) a copy. Returning a Memory to pristine is
+// that snapshot immutably — a uniform one costs a single page, so each
+// runtime builds its own — and every Memory is a page table over one:
+// clean pages alias the image, and the first write to a page privatizes
+// (materializes) a copy. Returning a Memory to pristine is
 // DropOverlay, O(dirty pages), whatever the tenant allocated.
 //
 // Two constructors, one layout. Fork leaves every page clean, so resident
@@ -26,8 +27,8 @@ import (
 // clean pages does not: two disjoint spans can land on the same clean
 // page and race on its materialization. Forks, and any Memory after
 // DropOverlay, are therefore single-goroutine by contract, which is
-// exactly the service's execution model — one session, one arena, one
-// worker goroutine at a time.
+// exactly rt.Env's contract — one session, one arena, one goroutine at a
+// time. Only heap's concurrent thread-cache tests need New's tolerance.
 
 // PageShift is log2 of the overlay page size in segments.
 const PageShift = 12

@@ -9,14 +9,16 @@
 // shadow mapping is shared infrastructure and only the encoding changes.
 //
 // A Memory is a page table over an immutable base Image (see image.go):
-// the pristine pre-poisoned snapshot every instance of one sanitizer
-// configuration starts from. Clean pages alias the shared image; the first
-// write to a page privatizes a copy. Real ASan and GiantSan reserve the
-// shadow with mmap and let the kernel fill it in lazily page by page, so
-// the copy-on-write page table is the faithful model, not an
-// approximation. Fork builds a Memory whose pages are all clean (the
-// service's pooled arenas, resident shadow proportional to what each
-// tenant dirtied); New builds one whose pages are all private up front.
+// the pristine pre-poisoned snapshot a sanitizer instance starts from.
+// Clean pages alias the image; the first write to a page privatizes a
+// copy. Real ASan and GiantSan reserve the shadow with mmap and let the
+// kernel fill it in lazily page by page, so the copy-on-write page table
+// is the faithful model, not an approximation. Fork builds a Memory whose
+// pages are all clean — every rt.Env's shadow, resident in proportion to
+// what its tenant dirtied, and single-goroutine. New builds one whose
+// pages are all private up front, which tolerates concurrent disjoint
+// writers until its first DropOverlay; it exists for heap's concurrent
+// thread-cache tests and for tools that want a dense shadow.
 package shadow
 
 import (
